@@ -536,57 +536,6 @@ let smsweep () =
      binds; bandwidth-bound ones (DCT) flatten early.";
   line ()
 
-(* --- Pipeline stage breakdown (span tracing) --- *)
-
-(* One traced end-to-end run per benchmark: construct -> flatten ->
-   compile -> codegen -> execute with the span sink enabled, then read
-   the per-stage wall time out of the recorded forest.  The stage set
-   matches the span taxonomy of DESIGN.md; nested compile stages
-   (profile/select/ii_search/buffer_layout) are disjoint, so their sum
-   plus the top-level stages is the whole pipeline. *)
-let pipeline_report () =
-  print_endline "\n=== Pipeline stage breakdown (ms, span tracing) ===";
-  line ();
-  let stage_names =
-    [
-      "parse"; "flatten"; "profile"; "select"; "ii_search"; "buffer_layout";
-      "codegen"; "execute";
-    ]
-  in
-  Printf.printf "%-12s" "Benchmark";
-  List.iter (fun s -> Printf.printf " %12s" s) stage_names;
-  Printf.printf " %9s\n" "attempts";
-  line ();
-  Obs.Metrics.reset ();
-  List.iter
-    (fun (e : Benchmarks.Registry.entry) ->
-      Obs.Trace.reset ();
-      Obs.Trace.enable ();
-      let stream = Obs.Trace.with_span "parse" (fun () -> e.stream ()) in
-      let graph = Flatten.flatten stream in
-      (match Swp_core.Compile.compile graph with
-      | Error m ->
-        Obs.Trace.disable ();
-        Printf.printf "%-12s compile failed: %s\n" e.name m
-      | Ok c ->
-        ignore (Cudagen.Kernel_gen.program c);
-        ignore (Swp_core.Executor.time_swp c);
-        Obs.Trace.disable ();
-        let dur name =
-          List.fold_left
-            (fun acc (s : Obs.Trace.span) -> acc +. (s.end_us -. s.start_us))
-            0.0 (Obs.Trace.find_all name)
-        in
-        Printf.printf "%-12s" e.name;
-        List.iter (fun s -> Printf.printf " %12.3f" (dur s /. 1000.0)) stage_names;
-        Printf.printf " %9d\n"
-          (List.length (Obs.Trace.find_all "ii_search.attempt"))))
-    Benchmarks.Registry.all;
-  line ();
-  print_endline "aggregate metrics across the suite (counters/gauges/histograms):";
-  Format.printf "%a@?" Obs.Metrics.pp_text ();
-  line ()
-
 (* --- Differential fuzzing statistics (lib/check) --- *)
 
 (* A fixed-seed fuzz batch through the whole pipeline, reported from the
@@ -641,7 +590,7 @@ let partime ~jobs =
     match Swp_core.Compile.compile ~num_sms ~coarsening:8 graph with
     | Error m -> failwith m
     | Ok c ->
-      (c.Swp_core.Compile.schedule, Cudagen.Kernel_gen.program c)
+      (c.Swp_core.Compile.schedule, Kir.Backend.emit_compiled Kir.Ir.Cuda c)
   in
   let timed jobs tasks =
     Par.Pool.set_jobs jobs;
@@ -1075,41 +1024,58 @@ let micro () =
       | _ -> Printf.printf "  %-40s (no estimate)\n" name)
     results
 
+(* --- Command line --- *)
+
 let () =
-  let argv = List.tl (Array.to_list Sys.argv) in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        prerr_endline ("error: " ^ m);
+        exit 2)
+      fmt
+  in
   (* --jobs N sets the domain-pool width for smsweep, and the parallel
      phase's width for partime (which defaults to 4 either way) *)
-  let rec split_jobs = function
-    | "--jobs" :: n :: rest ->
-      let _, rest = split_jobs rest in
-      (Some (int_of_string n), rest)
-    | x :: rest ->
-      let jobs, rest = split_jobs rest in
-      (jobs, x :: rest)
-    | [] -> (None, [])
+  let rec parse jobs names = function
+    | "--jobs" :: n :: rest -> (
+      match int_of_string_opt n with
+      | Some j when j > 0 -> parse (Some j) names rest
+      | _ -> fail "--jobs expects a positive integer, got %S" n)
+    | [ "--jobs" ] -> fail "--jobs expects a positive integer"
+    | x :: rest -> parse jobs (x :: names) rest
+    | [] -> (jobs, List.rev names)
   in
-  let jobs_opt, args = split_jobs argv in
-  (match jobs_opt with Some j -> Par.Pool.set_jobs j | None -> ());
+  let jobs_opt, args = parse None [] (List.tl (Array.to_list Sys.argv)) in
+  Option.iter Par.Pool.set_jobs jobs_opt;
   let jobs = Option.value jobs_opt ~default:4 in
-  let want x = args = [] || List.mem x args in
-  let benches =
-    if
-      List.exists want [ "table1"; "table2"; "fig10"; "fig11"; "ilpstats" ]
-    then compile_all ()
-    else []
+  (* the paper's tables share one compile of the registry *)
+  let benches = lazy (compile_all ()) in
+  let paper f () = f (Lazy.force benches) in
+  (* in run order; no section name runs them all *)
+  let sections =
+    [
+      ("table1", paper table1);
+      ("table2", paper table2);
+      ("fig10", paper fig10);
+      ("fig11", paper fig11);
+      ("ilpstats", paper ilpstats);
+      ("solvertime", solvertime);
+      ("coalesce", coalesce_ablation);
+      ("smsweep", smsweep);
+      ("fuzzstats", fuzzstats);
+      ("partime", fun () -> partime ~jobs);
+      ("resil", resil_bench);
+      ("serve", serve_bench);
+      ("harden", harden_bench);
+      ("micro", micro);
+    ]
   in
-  if want "table1" then table1 benches;
-  if want "table2" then table2 benches;
-  if want "fig10" then fig10 benches;
-  if want "fig11" then fig11 benches;
-  if want "ilpstats" then ilpstats benches;
-  if want "solvertime" then solvertime ();
-  if want "pipeline" then pipeline_report ();
-  if want "coalesce" then coalesce_ablation ();
-  if want "smsweep" then smsweep ();
-  if want "fuzzstats" then fuzzstats ();
-  if want "partime" then partime ~jobs;
-  if want "resil" then resil_bench ();
-  if want "serve" then serve_bench ();
-  if want "harden" then harden_bench ();
-  if want "micro" then micro ()
+  List.iter
+    (fun a ->
+      if not (List.mem_assoc a sections) then
+        fail "unknown section %S (sections: %s)" a
+          (String.concat " " (List.map fst sections)))
+    args;
+  List.iter
+    (fun (name, run) -> if args = [] || List.mem name args then run ())
+    sections

@@ -73,7 +73,7 @@ let () =
       (Swp_core.Mii.rec_mii graph cfg);
     Format.printf "%a@.@." (Swp_core.Swp_schedule.pp graph) c.Swp_core.Compile.schedule;
     (* a peek at the generated CUDA *)
-    let cuda = Cudagen.Kernel_gen.swp_kernel c in
+    let cuda = Kir.Backend.emit_compiled Kir.Ir.Cuda c in
     let preview =
       String.concat "\n"
         (List.filteri (fun i _ -> i < 25) (String.split_on_char '\n' cuda))

@@ -1,8 +1,6 @@
 (* Portable kernel IR (KIR) — core types (module Kir.Ir).
 
-   The schedule -> code path used to live entirely inside
-   [Cudagen.Kernel_gen], which walked the compiled value and printed
-   CUDA in one pass.  KIR splits that into
+   KIR splits the schedule -> code path into
 
      Swp_core.Compile.compiled --Lower--> Kir.program --printer--> text
 
@@ -68,6 +66,33 @@ let c_ident name =
   if s = "" then "_anon"
   else if s.[0] >= '0' && s.[0] <= '9' then "_" ^ s
   else s
+
+(* Channel index expressions, Sec. IV-D, spelled the same by every
+   backend: element [n_expr] of thread [tid]'s [rate]-token firing. *)
+let read_index style ~rate ~n_expr =
+  match style with
+  | Coalesced ->
+    Printf.sprintf "(128 * (%s) + (tid / 128) * 128 * %d + (tid %% 128))"
+      n_expr rate
+  | Natural -> Printf.sprintf "(tid * %d + (%s))" rate n_expr
+
+(* The type a printer declares for a [let]: integral when the
+   expression provably is, float otherwise.  Pops and peeks take the
+   filter's input type; variables and array reads are conservatively
+   float. *)
+let rec is_int ~in_ty (e : Streamit.Kernel.expr) =
+  let open Streamit.Kernel in
+  match e with
+  | Const (Streamit.Types.VInt _) -> true
+  | Const (Streamit.Types.VFloat _) -> false
+  | Pop | Peek _ -> in_ty = Streamit.Types.TInt
+  | Var _ | ArrayRef _ | TableRef _ -> false
+  | Unop (ToInt, _) -> true
+  | Unop (ToFloat, _) -> false
+  | Unop (_, e) -> is_int ~in_ty e
+  | Binop ((Eq | Ne | Lt | Le | Gt | Ge), _, _) -> true
+  | Binop ((BitAnd | BitOr | BitXor | Shl | Shr | Mod), _, _) -> true
+  | Binop (_, a, b) | Cond (_, a, b) -> is_int ~in_ty a && is_int ~in_ty b
 
 (* Where a fire's port reads from / writes to. *)
 type chan_ref =

@@ -6,10 +6,10 @@
    header are all decided in this pass.
 
    Byte-compatibility invariant: driving the CUDA printer with the
-   lowered program reproduces the historical [Cudagen.Kernel_gen]
-   output byte for byte on every benchmark (pinned by the golden
-   fixtures under test/fixtures/codegen/), so the lowering must keep
-   the same orderings the one-pass generator used — work functions in
+   lowered program reproduces the historical one-pass CUDA generator
+   byte for byte on every benchmark (pinned by the golden fixtures
+   under test/fixtures/codegen/), so the lowering must keep the same
+   orderings that generator used — work functions in
    node order, buffers in graph edge order, fires grouped by SM and
    stably sorted by start offset.
 

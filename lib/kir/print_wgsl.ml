@@ -35,13 +35,6 @@ let value_str = function
     in
     s ^ "f"
 
-let read_index (style : Ir.index_style) ~rate ~n_expr =
-  match style with
-  | Ir.Coalesced ->
-    Printf.sprintf "(128 * (%s) + (tid / 128) * 128 * %d + (tid %% 128))"
-      n_expr rate
-  | Ir.Natural -> Printf.sprintf "(tid * %d + (%s))" rate n_expr
-
 (* One specialized work function. *)
 let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
   let buf = Buffer.create 1024 in
@@ -79,7 +72,7 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
       if in_cond then
         raise (Ir.Unsupported "pop() inside a conditional-expression arm");
       let t = fresh_tmp () in
-      let idx = read_index style ~rate:(max 1 f.Kernel.pop_rate) ~n_expr:"_pop" in
+      let idx = Ir.read_index style ~rate:(max 1 f.Kernel.pop_rate) ~n_expr:"_pop" in
       let line =
         Printf.sprintf "let %s: %s = %s; _pop++;" t (ty_name f.Kernel.in_ty)
           (read_conv (Printf.sprintf "%s[in_base + %s]" src idx))
@@ -88,7 +81,7 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
     | Kernel.Peek d ->
       let pre, cd = lower ~in_cond pre d in
       let idx =
-        read_index style ~rate:(max 1 f.Kernel.pop_rate)
+        Ir.read_index style ~rate:(max 1 f.Kernel.pop_rate)
           ~n_expr:(Printf.sprintf "_pop + (%s)" cd)
       in
       (pre, read_conv (Printf.sprintf "%s[in_base + %s]" src idx))
@@ -123,24 +116,12 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
       | _ ->
         let pre, ca = lower ~in_cond pre a in
         let pre, cb = lower ~in_cond pre b in
-        let inf s = Printf.sprintf "(%s %s %s)" ca s cb in
+        let sym = Kernel.string_of_binop op in
         let r =
           match op with
-          | Kernel.Add -> inf "+"
-          | Kernel.Sub -> inf "-"
-          | Kernel.Mul -> inf "*"
-          | Kernel.Div -> inf "/"
-          | Kernel.Mod -> inf "%"
-          | Kernel.BitAnd -> inf "&"
-          | Kernel.BitOr -> inf "|"
-          | Kernel.BitXor -> inf "^"
-          | Kernel.Shl -> Printf.sprintf "(%s << u32(%s))" ca cb
-          | Kernel.Shr -> Printf.sprintf "(%s >> u32(%s))" ca cb
-          | Kernel.Min -> Printf.sprintf "min(%s, %s)" ca cb
-          | Kernel.Max -> Printf.sprintf "max(%s, %s)" ca cb
-          | Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le | Kernel.Gt
-          | Kernel.Ge ->
-            assert false
+          | Kernel.Shl | Kernel.Shr -> Printf.sprintf "(%s %s u32(%s))" ca sym cb
+          | Kernel.Min | Kernel.Max -> Printf.sprintf "%s(%s, %s)" sym ca cb
+          | _ -> Printf.sprintf "(%s %s %s)" ca sym cb
         in
         (pre, r))
     | Kernel.Cond (c, a, b) ->
@@ -157,17 +138,7 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
           b ) ->
       let pre, ca = lower ~in_cond pre a in
       let pre, cb = lower ~in_cond pre b in
-      let s =
-        match op with
-        | Kernel.Eq -> "=="
-        | Kernel.Ne -> "!="
-        | Kernel.Lt -> "<"
-        | Kernel.Le -> "<="
-        | Kernel.Gt -> ">"
-        | Kernel.Ge -> ">="
-        | _ -> assert false
-      in
-      (pre, Printf.sprintf "(%s %s %s)" ca s cb)
+      (pre, Printf.sprintf "(%s %s %s)" ca (Kernel.string_of_binop op) cb)
     | Kernel.Unop (Kernel.Not, e) ->
       let pre, cb = lower_bool ~in_cond pre e in
       (pre, Printf.sprintf "(!%s)" cb)
@@ -191,27 +162,7 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
         Buffer.add_string buf (Printf.sprintf "%s%s = %s;\n" (indent d) x' ce)
       else begin
         Hashtbl.replace declared x' ();
-        let ty =
-          let rec is_int = function
-            | Kernel.Const (Types.VInt _) -> true
-            | Kernel.Const (Types.VFloat _) -> false
-            | Kernel.Pop | Kernel.Peek _ -> f.Kernel.in_ty = Types.TInt
-            | Kernel.Var _ -> false
-            | Kernel.ArrayRef _ -> false
-            | Kernel.TableRef _ -> false
-            | Kernel.Unop (Kernel.ToInt, _) -> true
-            | Kernel.Unop (Kernel.ToFloat, _) -> false
-            | Kernel.Unop (_, e) -> is_int e
-            | Kernel.Binop ((Kernel.Eq | Kernel.Ne | Kernel.Lt | Kernel.Le
-                            | Kernel.Gt | Kernel.Ge), _, _) -> true
-            | Kernel.Binop ((Kernel.BitAnd | Kernel.BitOr | Kernel.BitXor
-                            | Kernel.Shl | Kernel.Shr | Kernel.Mod), _, _) ->
-              true
-            | Kernel.Binop (_, a, b) -> is_int a && is_int b
-            | Kernel.Cond (_, a, b) -> is_int a && is_int b
-          in
-          if is_int e then "i32" else "f32"
-        in
+        let ty = if Ir.is_int ~in_ty:f.Kernel.in_ty e then "i32" else "f32" in
         Buffer.add_string buf
           (Printf.sprintf "%svar %s: %s = %s;\n" (indent d) x' ty ce)
       end
@@ -238,7 +189,7 @@ let fn_of_filter ~style ~fn_name ~src ~dst (f : Kernel.filter) =
       let pre, ce = lower ~in_cond:false [] e in
       flush_pre d pre;
       let idx =
-        read_index style ~rate:(max 1 f.Kernel.push_rate) ~n_expr:"_push"
+        Ir.read_index style ~rate:(max 1 f.Kernel.push_rate) ~n_expr:"_push"
       in
       Buffer.add_string buf
         (Printf.sprintf "%s%s[out_base + %s] = f32(%s); _push++;\n" (indent d)

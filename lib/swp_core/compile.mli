@@ -3,7 +3,7 @@
     profile every filter → select the execution configuration → generate
     the scheduling constraints → search for the smallest feasible II →
     lay out buffers.  The result carries everything code generation
-    ({!Cudagen}) and the timing executor ({!Executor}) need.
+    ({!Kir}) and the timing executor ({!Executor}) need.
 
     {2 Deadlines, budgets and degradation}
 

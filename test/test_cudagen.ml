@@ -37,11 +37,11 @@ let sample_filter =
 let emit_tests =
   [
     t "identifier mangling" (fun () ->
-        Alcotest.(check string) "spaces" "split_sj_1" (Cudagen.Emit.c_ident "split sj 1");
-        Alcotest.(check string) "leading digit" "_1x" (Cudagen.Emit.c_ident "1x");
-        Alcotest.(check string) "empty" "_anon" (Cudagen.Emit.c_ident ""));
+        Alcotest.(check string) "spaces" "split_sj_1" (Kir.Ir.c_ident "split sj 1");
+        Alcotest.(check string) "leading digit" "_1x" (Kir.Ir.c_ident "1x");
+        Alcotest.(check string) "empty" "_anon" (Kir.Ir.c_ident ""));
     t "device function with coalesced indices (eq. 10/11)" (fun () ->
-        let c = Cudagen.Emit.c_of_filter sample_filter in
+        let c = Kir.Print_cfam.fn_of_filter Kir.Ir.Cuda sample_filter in
         Alcotest.(check bool) "braces" true (balanced_braces c);
         Alcotest.(check bool) "device fn" true
           (contains c "static __device__ void work_Scale");
@@ -52,7 +52,7 @@ let emit_tests =
           (contains c "(128 * (_pop) + (tid / 128) * 128 * 2 + (tid % 128))"));
     t "natural indices for the non-coalesced baseline" (fun () ->
         let c =
-          Cudagen.Emit.c_of_filter ~style:Cudagen.Emit.Natural_indices
+          Kir.Print_cfam.fn_of_filter ~style:Kir.Ir.Natural Kir.Ir.Cuda
             sample_filter
         in
         Alcotest.(check bool) "natural" true (contains c "(tid * 2 + (_pop))"));
@@ -62,7 +62,7 @@ let emit_tests =
             Kernel.make_filter ~name:"Sum3" ~pop:3 ~push:1
               [ push (pop +: pop +: pop) ])
         in
-        let c = Cudagen.Emit.c_of_filter f in
+        let c = Kir.Print_cfam.fn_of_filter Kir.Ir.Cuda f in
         (* three temporaries, each bumping _pop before the push *)
         Alcotest.(check bool) "t1" true (contains c "_t1");
         Alcotest.(check bool) "t3" true (contains c "_t3");
@@ -77,9 +77,9 @@ let emit_tests =
             ]
         in
         (try
-           ignore (Cudagen.Emit.c_of_filter f);
+           ignore (Kir.Print_cfam.fn_of_filter Kir.Ir.Cuda f);
            Alcotest.fail "expected Unsupported"
-         with Cudagen.Emit.Unsupported _ -> ()));
+         with Kir.Ir.Unsupported _ -> ()));
     t "loops and conditionals lower structurally" (fun () ->
         let f =
           Kernel.Build.(
@@ -95,7 +95,7 @@ let emit_tests =
                   ];
               ])
         in
-        let c = Cudagen.Emit.c_of_filter f in
+        let c = Kir.Print_cfam.fn_of_filter Kir.Ir.Cuda f in
         Alcotest.(check bool) "for" true (contains c "for (int j = 0; j < 4; j++)");
         Alcotest.(check bool) "if/else" true (contains c "} else {");
         Alcotest.(check bool) "array decl" true (contains c "float w[4]");
@@ -107,7 +107,7 @@ let emit_tests =
               ~out_ty:Types.TInt
               [ push ((pop <<: i 2) |: i 1) ])
         in
-        let c = Cudagen.Emit.c_of_filter f in
+        let c = Kir.Print_cfam.fn_of_filter Kir.Ir.Cuda f in
         Alcotest.(check bool) "signature" true
           (contains c "(const int* in, int* out, int tid)"));
   ]
@@ -115,17 +115,17 @@ let emit_tests =
 let kernel_tests =
   [
     t "splitter/joiner lowering rates check" (fun () ->
-        let dup = Cudagen.Kernel_gen.splitter_filter Ast.Duplicate 3 in
+        let dup = Kir.Lower.splitter_filter Ast.Duplicate 3 in
         Alcotest.(check (result unit string)) "dup" (Ok ()) (Kernel.check_filter dup);
         Alcotest.(check int) "push" 3 dup.Kernel.push_rate;
-        let rr = Cudagen.Kernel_gen.splitter_filter (Ast.Round_robin [ 2; 3 ]) 2 in
+        let rr = Kir.Lower.splitter_filter (Ast.Round_robin [ 2; 3 ]) 2 in
         Alcotest.(check int) "rr pop" 5 rr.Kernel.pop_rate;
-        let j = Cudagen.Kernel_gen.joiner_filter [ 1; 4 ] in
+        let j = Kir.Lower.joiner_filter [ 1; 4 ] in
         Alcotest.(check int) "join pop" 5 j.Kernel.pop_rate);
     t "whole-program generation for a benchmark" (fun () ->
         let g = Flatten.flatten (Benchmarks.Bitonic.stream ()) in
         let c = Result.get_ok (Swp_core.Compile.compile g) in
-        let src = Cudagen.Kernel_gen.program c in
+        let src = Kir.Backend.emit_compiled Kir.Ir.Cuda c in
         Alcotest.(check bool) "braces" true (balanced_braces src);
         Alcotest.(check bool) "kernel" true
           (contains src "__global__ void swp_kernel");
@@ -136,14 +136,14 @@ let kernel_tests =
         Alcotest.(check bool) "launch config" true (contains src "swp_kernel<<<"));
     t "profile driver generation (Fig. 6)" (fun () ->
         let f = sample_filter in
-        let src = Cudagen.Kernel_gen.profile_driver f ~numfirings:26880 in
+        let src = Kir.Print_cfam.profile_driver f ~numfirings:26880 in
         Alcotest.(check bool) "events" true (contains src "cudaEventElapsedTime");
         Alcotest.(check bool) "iterates" true (contains src "26880 / blockDim.x");
         Alcotest.(check bool) "braces" true (balanced_braces src));
     t "every scheduled instance appears in the kernel" (fun () ->
         let g = Flatten.flatten (Benchmarks.Dct.stream ()) in
         let c = Result.get_ok (Swp_core.Compile.compile g) in
-        let src = Cudagen.Kernel_gen.swp_kernel c in
+        let src = Kir.Backend.emit_compiled Kir.Ir.Cuda c in
         List.iter
           (fun (e : Swp_core.Swp_schedule.entry) ->
             let marker =

@@ -30,7 +30,7 @@ let snapshot e =
   {
     schedule = c.Swp_core.Compile.schedule;
     sizing = c.Swp_core.Compile.sizing;
-    cuda = Cudagen.Kernel_gen.program c;
+    cuda = Kir.Backend.emit_compiled Kir.Ir.Cuda c;
   }
 
 let with_jobs n f =
@@ -83,7 +83,7 @@ let budgeted_snapshot e ~budget =
     ( {
         schedule = c.Swp_core.Compile.schedule;
         sizing = c.Swp_core.Compile.sizing;
-        cuda = Cudagen.Kernel_gen.program c;
+        cuda = Kir.Backend.emit_compiled Kir.Ir.Cuda c;
       },
       Swp_core.Ii_search.log_signature c.Swp_core.Compile.search_stats,
       c.Swp_core.Compile.quality )

@@ -252,4 +252,33 @@ pipeline P { add F_1; add F:1; add Sink; }
             (List.length (List.sort_uniq compare names)));
   ]
 
-let suite = lower_tests @ eval_tests @ lint_tests @ name_tests
+(* ---- codegen instrumentation ------------------------------------------ *)
+
+let obs_tests =
+  [
+    t "every target emits one codegen span and counts its lines" (fun () ->
+        let p = Kir.Lower.lower (compile (flatten_src pipeline_src)) in
+        let lines = Obs.Metrics.counter "codegen.lines" in
+        List.iter
+          (fun target ->
+            let name = Kir.Ir.target_name target in
+            Obs.Trace.reset ();
+            Obs.Trace.enable ();
+            let before = Obs.Metrics.value lines in
+            let src =
+              Fun.protect ~finally:Obs.Trace.disable (fun () ->
+                  Kir.Backend.emit target p)
+            in
+            let newlines =
+              String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 src
+            in
+            Alcotest.(check int) (name ^ " codegen spans") 1
+              (List.length (Obs.Trace.find_all "codegen"));
+            Alcotest.(check int) (name ^ " codegen.lines")
+              newlines
+              (Obs.Metrics.value lines - before))
+          Kir.Ir.all_targets;
+        Obs.Trace.reset ());
+  ]
+
+let suite = lower_tests @ eval_tests @ lint_tests @ name_tests @ obs_tests

@@ -437,7 +437,7 @@ let smoke_tests =
             match Swp_core.Compile.compile g with
             | Error m -> Alcotest.failf "compile failed: %s" m
             | Ok c ->
-              ignore (Cudagen.Kernel_gen.program c);
+              ignore (Kir.Backend.emit_compiled Kir.Ir.Cuda c);
               ignore (Swp_core.Executor.time_swp c));
         let json = Obs.Trace.to_chrome_json () in
         Alcotest.(check bool) "trace parses" true (json_parses json);

@@ -256,7 +256,7 @@ let header_tests =
   [
     t "CUDA artifact carries its provenance header" (fun () ->
         let c = compile_bench "Bitonic" in
-        let cuda = Cudagen.Kernel_gen.program c in
+        let cuda = Kir.Backend.emit_compiled Kir.Ir.Cuda c in
         let sig_ = Report.schedule_signature c in
         let contains hay needle =
           let nl = String.length needle and hl = String.length hay in

@@ -150,7 +150,7 @@ filter Counter pop 1 push 1 {
         Alcotest.(check bool) "1 2 3 4" true
           (out = [ 1.0; 2.0; 3.0; 4.0 ]));
     t "state arrays emit as device globals" (fun () ->
-        let c = Cudagen.Emit.c_of_filter (accumulator ()) in
+        let c = Kir.Print_cfam.fn_of_filter Kir.Ir.Cuda (accumulator ()) in
         let contains hay needle =
           let nl = String.length needle and hl = String.length hay in
           let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
