@@ -27,8 +27,8 @@
       "warm": bool,                                // default true
       "artifacts": ["schedule","layout","kernel","report"]}  // default none
 
-   "cuda" is accepted as a legacy alias for the "kernel" artifact; both
-   select the entry's kernel source, printed for the request's target.
+   "kernel" selects the entry's kernel source, printed for the
+   request's target.
 
    "deadline" is a per-request wall-clock bound in seconds; results
    compiled under one are returned but never cached (Service's taint
@@ -364,7 +364,7 @@ let request_of_json doc =
             Result.bind acc (fun acc ->
                 match x with
                 | J.Str
-                    (("schedule" | "layout" | "kernel" | "cuda" | "report")
+                    (("schedule" | "layout" | "kernel" | "report")
                     as a) ->
                   Ok (a :: acc)
                 | J.Str other ->
@@ -459,8 +459,6 @@ let ok_response req (e : Store.entry) (outcome : Service.outcome) =
        @ artifact "schedule" e.Store.schedule
        @ artifact "layout" e.Store.layout
        @ artifact "kernel" e.Store.kernel
-       (* legacy alias: pre-v2 clients ask for "cuda" *)
-       @ artifact "cuda" e.Store.kernel
        @ artifact "report" e.Store.report))
 
 let shutdown_response ?(drain = []) req =

@@ -47,9 +47,8 @@ type request = {
   target : Kir.Ir.target;  (** codegen backend, default [Cuda] *)
   warm : bool;
   artifacts : string list;
-      (** subset of ["schedule"; "layout"; "kernel"; "cuda"; "report"]
-          to inline in the response ("cuda" is a legacy alias for
-          "kernel") *)
+      (** subset of ["schedule"; "layout"; "kernel"; "report"] to
+          inline in the response *)
 }
 
 val request_of_json : Obs.Report.t -> (request, string) result

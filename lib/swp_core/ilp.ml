@@ -287,7 +287,7 @@ let assignment_of_schedule p vm insts deps (s : Swp_schedule.t) ~num_sms =
   fun v -> values.(v)
 
 let solve ?(node_budget = 4000) ?time_budget_s ?budget ?insts ?deps ?warm_start
-    ?stats ?use_reference_lp ?(cuts = false) g cfg ~num_sms ~ii =
+    ?stats ?(cuts = false) g cfg ~num_sms ~ii =
   let insts =
     match insts with Some l -> l | None -> Instances.instances cfg
   in
@@ -307,7 +307,7 @@ let solve ?(node_budget = 4000) ?time_budget_s ?budget ?insts ?deps ?warm_start
     in
     let outcome, bb =
       Lp.Branch_bound.solve ~node_budget ?time_budget_s ?budget ?incumbent
-        ?use_reference_lp ?cuts:cut_gen p
+        ?cuts:cut_gen p
     in
     (match stats with Some r -> r := Some bb | None -> ());
     match outcome with

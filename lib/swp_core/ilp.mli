@@ -64,7 +64,6 @@ val solve :
   ?deps:Instances.dep list ->
   ?warm_start:Swp_schedule.t ->
   ?stats:Lp.Branch_bound.stats option ref ->
-  ?use_reference_lp:bool ->
   ?cuts:bool ->
   Streamit.Graph.t ->
   Select.config ->
@@ -89,10 +88,6 @@ val solve :
 
     [stats] receives the branch-and-bound statistics of the solve (node
     and simplex-pivot counts) whatever the outcome.
-
-    [use_reference_lp] routes every LP relaxation to the dense reference
-    simplex — only meant for benchmarking against the pre-sparse
-    baseline.
 
     [cuts] (default [false]) builds the problem with the clique
     inequalities and arms branch-and-bound's root cut loop with

@@ -5,9 +5,8 @@
    reported so the baseline can be ratcheted down.  Exit status 0 iff no
    benchmark regressed.
 
-   The baseline file is a flat {"baseline": {"Name": ii, ...}} object;
-   the reader below handles exactly that shape (the repo carries no JSON
-   library, and the gate must not grow a dependency just to read it). *)
+   The baseline file is a flat {"baseline": {"Name": ii, ...}} object,
+   read with the serve protocol's JSON reader. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -15,52 +14,15 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
     ~finally:(fun () -> close_in ic)
 
-(* Pull every "name": <int> pair out of the "baseline" object.  Keys in
-   the preamble note contain no colon-integer pairs, but to be safe only
-   the text after "baseline" is scanned. *)
 let parse_baseline text =
-  let start =
-    match String.index_opt text '{' with
-    | Some _ -> (
-      let marker = "\"baseline\"" in
-      let rec find i =
-        if i + String.length marker > String.length text then
-          failwith "quality_baseline.json: no \"baseline\" object"
-        else if String.sub text i (String.length marker) = marker then
-          i + String.length marker
-        else find (i + 1)
-      in
-      find 0)
-    | None -> failwith "quality_baseline.json: not a JSON object"
-  in
-  let tail = String.sub text start (String.length text - start) in
-  let pairs = ref [] in
-  let n = String.length tail in
-  let i = ref 0 in
-  while !i < n do
-    if tail.[!i] = '"' then begin
-      let close =
-        match String.index_from_opt tail (!i + 1) '"' with
-        | Some c -> c
-        | None -> failwith "quality_baseline.json: unterminated string"
-      in
-      let key = String.sub tail (!i + 1) (close - !i - 1) in
-      let j = ref (close + 1) in
-      while !j < n && (tail.[!j] = ' ' || tail.[!j] = '\n') do incr j done;
-      if !j < n && tail.[!j] = ':' then begin
-        incr j;
-        while !j < n && (tail.[!j] = ' ' || tail.[!j] = '\n') do incr j done;
-        let k = ref !j in
-        while !k < n && tail.[!k] >= '0' && tail.[!k] <= '9' do incr k done;
-        if !k > !j then
-          pairs := (key, int_of_string (String.sub tail !j (!k - !j))) :: !pairs;
-        i := !k
-      end
-      else i := close + 1
-    end
-    else incr i
-  done;
-  List.rev !pairs
+  match Obs.Report.member "baseline" (Cache.Protocol.parse text) with
+  | Some (Obs.Report.Obj pairs) ->
+    List.map
+      (function
+        | name, Obs.Report.Int ii -> (name, ii)
+        | name, _ -> failwith ("quality baseline: " ^ name ^ " is not an int"))
+      pairs
+  | _ -> failwith "quality baseline: no \"baseline\" object"
 
 let () =
   let baseline_path =

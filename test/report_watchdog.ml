@@ -12,10 +12,10 @@
 
    Baselines are the full compact report JSON (the deterministic,
    timings-free serialization), so the repo also carries a reviewable
-   record of what each compile looked like.  The reader below extracts
-   just the watched fields; the repo carries no JSON library and the
-   serializer's field order is deterministic, so substring scanning is
-   reliable. *)
+   record of what each compile looked like.  They are read back with the
+   serve protocol's JSON reader. *)
+
+module J = Obs.Report
 
 let read_file path =
   let ic = open_in_bin path in
@@ -29,70 +29,32 @@ let write_file path text =
     (fun () -> output_string oc text)
     ~finally:(fun () -> close_out oc)
 
-(* ---- scrappy field extraction over the compact report JSON ---------- *)
-
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let int_after s key =
-  match find_sub s (Printf.sprintf "\"%s\":" key) with
-  | None -> failwith (Printf.sprintf "report field %S missing" key)
-  | Some i ->
-    let n = String.length s in
-    let j = ref i in
-    if !j < n && s.[!j] = '-' then incr j;
-    let start = !j in
-    while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-    if !j = start then failwith (Printf.sprintf "report field %S not an int" key)
-    else int_of_string (String.sub s i (!j - i))
-
-let str_after s key =
-  match find_sub s (Printf.sprintf "\"%s\":\"" key) with
-  | None -> failwith (Printf.sprintf "report field %S missing" key)
-  | Some i -> (
-    match String.index_from_opt s i '"' with
-    | Some close -> String.sub s i (close - i)
-    | None -> failwith (Printf.sprintf "report field %S unterminated" key))
+let field doc path =
+  match J.path path doc with
+  | Some v -> v
+  | None ->
+    failwith (Printf.sprintf "report field %S missing" (String.concat "." path))
 
 (* Per-stage work: every {"stage":"<name>","work":<n>} object. *)
-let stage_works s =
-  let marker = "\"stage\":\"" in
-  let n = String.length s and m = String.length marker in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i + m <= n do
-    if String.sub s !i m = marker then begin
-      let close =
-        match String.index_from_opt s (!i + m) '"' with
-        | Some c -> c
-        | None -> failwith "unterminated stage name"
-      in
-      let name = String.sub s (!i + m) (close - !i - m) in
-      let tail = String.sub s close (n - close) in
-      out := (name, int_after tail "work") :: !out;
-      i := close
-    end;
-    incr i
-  done;
-  List.rev !out
+let stage_works doc =
+  match field doc [ "stages" ] with
+  | J.Arr stages ->
+    List.map
+      (fun s ->
+        match (field s [ "stage" ], field s [ "work" ]) with
+        | J.Str name, J.Int work -> (name, work)
+        | _ -> failwith "malformed stage entry")
+      stages
+  | _ -> failwith "report field \"stages\" not an array"
 
 (* ---- drift checks --------------------------------------------------- *)
 
 type check = { field : string; base : string; fresh : string; ok : bool }
 
-let exact_int field base fresh =
-  let b = int_after base field and f = int_after fresh field in
-  { field; base = string_of_int b; fresh = string_of_int f; ok = b = f }
-
-let exact_str field base fresh =
-  let b = str_after base field and f = str_after fresh field in
-  { field; base = b; fresh = f; ok = b = f }
+let exact path base fresh =
+  let show doc = match field doc path with J.Str s -> s | v -> J.to_string v in
+  let b = show base and f = show fresh in
+  { field = String.concat "." path; base = b; fresh = f; ok = b = f }
 
 (* 25% relative tolerance with an absolute slack of 16 work units, so
    tiny stages (layout on a 6-filter graph) don't fail on a +4 blip. *)
@@ -102,11 +64,11 @@ let within_tolerance base fresh =
 let compare_reports base fresh =
   let exact =
     [
-      exact_int "achieved" base fresh;
-      exact_str "quality" base fresh;
-      exact_str "rationale" base fresh;
-      exact_int "attempts" base fresh;
-      exact_str "binding" base fresh;
+      exact [ "ii"; "achieved" ] base fresh;
+      exact [ "quality" ] base fresh;
+      exact [ "rationale" ] base fresh;
+      exact [ "search"; "attempts" ] base fresh;
+      exact [ "ii"; "bounds"; "binding" ] base fresh;
     ]
   in
   let base_stages = stage_works base and fresh_stages = stage_works fresh in
@@ -167,10 +129,10 @@ let () =
         Printf.printf "%-12s FAIL compile: %s\n" name m
       | Ok c -> (
         let fresh =
-          Swp_core.Report.to_json (Swp_core.Report.assemble ~program:name c)
+          Swp_core.Report.to_doc (Swp_core.Report.assemble ~program:name c)
         in
         if update then begin
-          write_file path (fresh ^ "\n");
+          write_file path (J.to_string fresh ^ "\n");
           Printf.printf "%-12s baseline written\n" name
         end
         else
@@ -179,7 +141,7 @@ let () =
             incr failures;
             Printf.printf "%-12s FAIL no baseline (run with --update)\n" name
           | base ->
-            let checks = compare_reports base fresh in
+            let checks = compare_reports (Cache.Protocol.parse base) fresh in
             let bad = List.filter (fun ch -> not ch.ok) checks in
             if bad = [] then Printf.printf "%-12s ok\n" name
             else begin

@@ -238,12 +238,13 @@ let member_str name doc =
 let daemon_tests =
   [
     t "an overloaded batch sheds deterministically, tail first" (fun () ->
-        let run () =
-          let svc = Cache.Service.create () in
-          let guard = Cache.Guard.create ~max_inflight:1 ~queue_cap:1 () in
-          let d = Cache.Daemon.create ~guard svc in
+        (* a burst of 4x the capacity of 2 *)
+        let new_guard () = Cache.Guard.create ~max_inflight:1 ~queue_cap:1 () in
+        let guard = new_guard () in
+        let run guard =
+          let d = Cache.Daemon.create ~guard (Cache.Service.create ()) in
           let line =
-            "[" ^ String.concat "," (List.init 5 (fun i -> compile_req i)) ^ "]"
+            "[" ^ String.concat "," (List.init 8 (fun i -> compile_req i)) ^ "]"
           in
           match Cache.Daemon.handle_line d line with
           | `Reply s -> s
@@ -260,12 +261,15 @@ let daemon_tests =
               docs
           | _ -> Alcotest.fail "batch reply must be an array"
         in
-        let first = statuses (run ()) in
-        Alcotest.(check (list string)) "capacity 2: last 3 shed"
-          [ "ok"; "ok"; "overloaded"; "overloaded"; "overloaded" ] first;
+        let first = statuses (run guard) in
+        Alcotest.(check (list string)) "capacity 2: last 6 shed"
+          ([ "ok"; "ok" ] @ List.init 6 (fun _ -> "overloaded"))
+          first;
+        Alcotest.(check bool) "queue stays within its capacity" true
+          ((Cache.Guard.occupancy guard).Cache.Guard.peak_outstanding <= 2);
         Alcotest.(check (list string)) "identical burst, identical sheds"
           first
-          (statuses (run ())));
+          (statuses (run (new_guard ()))));
     t "shed responses carry a retry_after_ms hint" (fun () ->
         let svc = Cache.Service.create () in
         let guard = Cache.Guard.create ~max_inflight:1 ~queue_cap:0 () in
