@@ -106,14 +106,11 @@ let with_coarsening n f =
   end
   else f ()
 
-let check_lns_rounds r f =
-  if r < 0 then begin
-    Printf.eprintf "error: --lns-rounds must be >= 0 (got %d)\n" r;
-    1
-  end
-  else f ()
+(* --- flags shared by the compiling subcommands --- *)
 
-(* Deadline/budget flags shared by compile, speedup and sweep. *)
+let coarsen_arg =
+  Arg.(value & opt int 8 & info [ "coarsening"; "n" ] ~doc:"SWPn coarsening factor.")
+
 let deadline_arg =
   Arg.(
     value & opt (some float) None
@@ -142,17 +139,6 @@ let on_budget_arg =
            (default) falls back to a guaranteed-valid serial schedule at a \
            relaxed II; $(b,fail) exits with a structured diagnostic.")
 
-let no_portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "no-portfolio" ]
-        ~doc:
-          "Disable the per-candidate-II scheduler portfolio (first-fit, \
-           best-fit and balanced packings raced, plus the cut-armed exact \
-           ILP near the bound), restoring the historical \
-           first-fit-then-maybe-exact ladder.  Determinism is unaffected \
-           either way.")
-
 let lns_rounds_arg =
   Arg.(
     value & opt int 12
@@ -163,16 +149,51 @@ let lns_rounds_arg =
            deterministic and charged to the same work-unit ledger as the \
            search.")
 
-let check_limits ~deadline ~budget f =
-  if (match budget with Some b -> b < 0 | None -> false) then begin
+(* The flags compile, speedup, report, sweep and trace share, parsed by
+   one term; [lns_rounds] is [None] for a subcommand without
+   --lns-rounds (trace). *)
+type compile_opts = {
+  coarsening : int;
+  jobs : int;
+  deadline : float option;
+  budget : int option;
+  on_budget : [ `Degrade | `Fail ];
+  lns_rounds : int option;
+}
+
+let compile_opts_term ~lns =
+  let mk coarsening jobs deadline budget on_budget lns_rounds =
+    { coarsening; jobs; deadline; budget; on_budget; lns_rounds }
+  in
+  Term.(
+    const mk $ coarsen_arg $ jobs_arg $ deadline_arg $ budget_arg
+    $ on_budget_arg
+    $ if lns then const Option.some $ lns_rounds_arg else const None)
+
+(* Validate the shared flags once, in a fixed order (each misuse prints
+   one [error:] line and exits 1), set the pool width, then run [f]. *)
+let with_compile_opts o f =
+  with_jobs o.jobs @@ fun () ->
+  with_coarsening o.coarsening @@ fun () ->
+  if (match o.budget with Some b -> b < 0 | None -> false) then begin
     Printf.eprintf "error: --budget must be >= 0 work units\n";
     1
   end
-  else if (match deadline with Some d -> d <= 0.0 | None -> false) then begin
+  else if (match o.deadline with Some d -> d <= 0.0 | None -> false) then begin
     Printf.eprintf "error: --deadline must be positive seconds\n";
     1
   end
-  else f ()
+  else
+    match o.lns_rounds with
+    | Some r when r < 0 ->
+      Printf.eprintf "error: --lns-rounds must be >= 0 (got %d)\n" r;
+      1
+    | _ -> f ()
+
+let compile_with ?num_sms ?scheme o g =
+  Swp_core.Compile.compile ?num_sms ?scheme ~coarsening:o.coarsening
+    ?deadline:o.deadline ?budget:o.budget ?lns_rounds:o.lns_rounds
+    ~on_budget:o.on_budget g
 
 let dump_metrics metrics code =
   if metrics then Format.printf "%a@?" Obs.Metrics.pp_text ();
@@ -266,9 +287,6 @@ let profile_cmd =
 
 (* --- compile --- *)
 
-let coarsen_arg =
-  Arg.(value & opt int 8 & info [ "coarsening"; "n" ] ~doc:"SWPn coarsening factor.")
-
 let target_arg =
   Arg.(
     value
@@ -289,18 +307,11 @@ let target_arg =
 
 let compile_cmd =
   let doc = "Compile through the full pipeline of Fig. 5; print the schedule." in
-  let run spec n target jobs deadline budget on_budget no_portfolio
-      lns_rounds metrics =
-    with_jobs jobs @@ fun () ->
-    with_coarsening n @@ fun () ->
-    check_limits ~deadline ~budget @@ fun () ->
-    check_lns_rounds lns_rounds @@ fun () ->
+  let run spec o target metrics =
+    with_compile_opts o @@ fun () ->
     dump_metrics metrics
     @@ with_graph spec (fun g _ ->
-           match
-             Swp_core.Compile.compile ~coarsening:n ?deadline ?budget
-               ~portfolio:(not no_portfolio) ~lns_rounds ~on_budget g
-           with
+           match compile_with o g with
            | Error m ->
              Printf.eprintf "error: compile: %s\n" m;
              1
@@ -336,9 +347,8 @@ let compile_cmd =
   in
   Cmd.v (Cmd.info "compile" ~doc)
     Term.(
-      const run $ spec_arg $ coarsen_arg $ target_arg $ jobs_arg
-      $ deadline_arg $ budget_arg $ on_budget_arg $ no_portfolio_arg
-      $ lns_rounds_arg $ metrics_arg)
+      const run $ spec_arg $ compile_opts_term ~lns:true $ target_arg
+      $ metrics_arg)
 
 (* --- emit --- *)
 
@@ -430,19 +440,12 @@ let buffers_cmd =
 
 let speedup_cmd =
   let doc = "Report SWP / SWPNC / Serial speedups over the CPU model (Fig. 10)." in
-  let run spec n jobs deadline budget on_budget no_portfolio lns_rounds
-      metrics =
-    with_jobs jobs @@ fun () ->
-    with_coarsening n @@ fun () ->
-    check_limits ~deadline ~budget @@ fun () ->
-    check_lns_rounds lns_rounds @@ fun () ->
-    let portfolio = not no_portfolio in
+  let run spec o metrics =
+    with_compile_opts o @@ fun () ->
+    let n = o.coarsening in
     dump_metrics metrics
     @@ with_graph spec (fun g _ ->
-        match
-          Swp_core.Compile.compile ~coarsening:n ?deadline ?budget ~portfolio
-            ~lns_rounds ~on_budget g
-        with
+        match compile_with o g with
         | Error m ->
           Printf.eprintf "error: compile: %s\n" m;
           1
@@ -461,9 +464,7 @@ let speedup_cmd =
           Printf.printf "SWP%-3d : %6.2fx\n" n
             (sp gt.Swp_core.Executor.cycles_per_steady);
           (match
-             Swp_core.Compile.compile
-               ~scheme:Swp_core.Compile.Swp_non_coalesced ~coarsening:n
-               ?deadline ?budget ~portfolio ~lns_rounds ~on_budget g
+             compile_with ~scheme:Swp_core.Compile.Swp_non_coalesced o g
            with
           | Ok cn ->
             let gtn = Swp_core.Executor.time_swp cn in
@@ -486,9 +487,7 @@ let speedup_cmd =
   in
   Cmd.v (Cmd.info "speedup" ~doc)
     Term.(
-      const run $ spec_arg $ coarsen_arg $ jobs_arg $ deadline_arg
-      $ budget_arg $ on_budget_arg $ no_portfolio_arg $ lns_rounds_arg
-      $ metrics_arg)
+      const run $ spec_arg $ compile_opts_term ~lns:true $ metrics_arg)
 
 (* --- trace --- *)
 
@@ -505,19 +504,14 @@ let trace_cmd =
      Chrome trace-event JSON (load at ui.perfetto.dev) and print the span \
      tree."
   in
-  let run spec n jobs deadline budget on_budget out metrics =
-    with_jobs jobs @@ fun () ->
-    with_coarsening n @@ fun () ->
-    check_limits ~deadline ~budget @@ fun () ->
+  let run spec o out metrics =
+    with_compile_opts o @@ fun () ->
     Obs.Trace.reset ();
     Obs.Metrics.reset ();
     Obs.Trace.enable ();
     let code =
       with_graph spec (fun g _ ->
-          match
-            Swp_core.Compile.compile ~coarsening:n ?deadline ?budget
-              ~on_budget g
-          with
+          match compile_with o g with
           | Error m ->
             Printf.eprintf "error: compile: %s\n" m;
             1
@@ -549,8 +543,8 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const run $ spec_arg $ coarsen_arg $ jobs_arg $ deadline_arg
-      $ budget_arg $ on_budget_arg $ out_arg $ metrics_arg)
+      const run $ spec_arg $ compile_opts_term ~lns:false $ out_arg
+      $ metrics_arg)
 
 (* --- fuzz --- *)
 
@@ -723,8 +717,7 @@ let report_cmd =
     output_string oc contents;
     close_out oc
   in
-  let run spec bench n jobs deadline budget on_budget no_portfolio lns_rounds
-      json out timings events openmetrics metrics =
+  let run spec bench o json out timings events openmetrics metrics =
     match (spec, bench) with
     | None, None ->
       Printf.eprintf "error: give a PROGRAM argument or --bench NAME\n";
@@ -733,10 +726,7 @@ let report_cmd =
       Printf.eprintf "error: give either PROGRAM or --bench, not both\n";
       1
     | Some s, None | None, Some s -> (
-      with_jobs jobs @@ fun () ->
-      with_coarsening n @@ fun () ->
-      check_limits ~deadline ~budget @@ fun () ->
-      check_lns_rounds lns_rounds @@ fun () ->
+      with_compile_opts o @@ fun () ->
       if events <> None then begin
         Obs.Log.reset ();
         Obs.Log.enable ()
@@ -744,10 +734,7 @@ let report_cmd =
       let code =
         try
           with_graph s (fun g _ ->
-            match
-              Swp_core.Compile.compile ~coarsening:n ?deadline ?budget
-                ~portfolio:(not no_portfolio) ~lns_rounds ~on_budget g
-            with
+            match compile_with o g with
             | Error m ->
               Printf.eprintf "error: compile: %s\n" m;
               1
@@ -775,9 +762,8 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(
-      const run $ spec_opt_arg $ bench_arg $ coarsen_arg $ jobs_arg
-      $ deadline_arg $ budget_arg $ on_budget_arg $ no_portfolio_arg
-      $ lns_rounds_arg $ json_arg $ report_out_arg $ timings_arg $ events_arg
+      const run $ spec_opt_arg $ bench_arg $ compile_opts_term ~lns:true
+      $ json_arg $ report_out_arg $ timings_arg $ events_arg
       $ openmetrics_arg $ metrics_arg)
 
 (* --- sweep --- *)
@@ -793,12 +779,8 @@ let sweep_cmd =
       value & opt (list int) [ 2; 4; 6; 8 ]
       & info [ "sms" ] ~docv:"N,..." ~doc:"Comma-separated SM counts.")
   in
-  let run spec n sms jobs deadline budget on_budget no_portfolio lns_rounds
-      metrics =
-    with_jobs jobs @@ fun () ->
-    with_coarsening n @@ fun () ->
-    check_limits ~deadline ~budget @@ fun () ->
-    check_lns_rounds lns_rounds @@ fun () ->
+  let run spec o sms metrics =
+    with_compile_opts o @@ fun () ->
     if List.exists (fun s -> s < 1) sms then begin
       Printf.eprintf "error: --sms entries must be at least 1\n";
       1
@@ -809,10 +791,7 @@ let sweep_cmd =
              let results =
                Par.Pool.map_auto
                  (fun num_sms ->
-                   ( num_sms,
-                     Swp_core.Compile.compile ~num_sms ~coarsening:n ?deadline
-                       ?budget ~portfolio:(not no_portfolio) ~lns_rounds
-                       ~on_budget g ))
+                   (num_sms, compile_with ~num_sms o g))
                  sms
              in
              Printf.printf "%-8s %10s %8s %14s %10s\n" "SMs" "II" "stages"
@@ -845,8 +824,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ spec_arg $ coarsen_arg $ sms_arg $ jobs_arg $ deadline_arg
-      $ budget_arg $ on_budget_arg $ no_portfolio_arg $ lns_rounds_arg
+      const run $ spec_arg $ compile_opts_term ~lns:true $ sms_arg
       $ metrics_arg)
 
 (* --- serve --- *)

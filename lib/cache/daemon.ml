@@ -87,7 +87,6 @@ let options_of_request (r : Protocol.request) =
         coarsening = r.Protocol.coarsening;
         scheme = r.Protocol.scheme;
         budget = r.Protocol.budget;
-        portfolio = r.Protocol.portfolio;
         lns_rounds = r.Protocol.lns_rounds;
         target = r.Protocol.target;
       }

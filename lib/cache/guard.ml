@@ -41,7 +41,6 @@ type t = {
   max_inflight : int;
   queue_cap : int;
   work_cap : int option;
-  default_work : int;
   ledger : Resil.Budget.t;  (** cumulative admitted work units *)
   mutable outstanding : int;
   mutable work_occupancy : int;
@@ -56,21 +55,21 @@ let m_admitted = Obs.Metrics.counter "serve.guard.admitted"
 let m_shed = Obs.Metrics.counter "serve.guard.shed"
 let m_drained = Obs.Metrics.counter "serve.guard.drained"
 
-let create ?(max_inflight = 4) ?(queue_cap = 16) ?work_cap
-    ?(default_work = 20_000) () =
+(* Declared cost of a request without an explicit budget. *)
+let default_work = 20_000
+
+let create ?(max_inflight = 4) ?(queue_cap = 16) ?work_cap () =
   if max_inflight < 1 then invalid_arg "Guard.create: max_inflight must be >= 1";
   if queue_cap < 0 then invalid_arg "Guard.create: queue_cap must be >= 0";
   (match work_cap with
   | Some c when c < 1 -> invalid_arg "Guard.create: work_cap must be >= 1"
   | _ -> ());
-  if default_work < 1 then invalid_arg "Guard.create: default_work must be >= 1";
   {
     m = Mutex.create ();
     idle = Condition.create ();
     max_inflight;
     queue_cap;
     work_cap;
-    default_work;
     ledger = Resil.Budget.create ~label:"serve.ledger" ();
     outstanding = 0;
     work_occupancy = 0;
@@ -88,7 +87,7 @@ let capacity t = t.max_inflight + t.queue_cap
 let retry_hint t = 25 * (t.outstanding + 1)
 
 let try_admit ?work t =
-  let work = match work with Some w -> max 1 w | None -> t.default_work in
+  let work = match work with Some w -> max 1 w | None -> default_work in
   Mutex.lock t.m;
   let decision =
     if t.draining then Shed { reason = "draining"; retry_after_ms = 0 }

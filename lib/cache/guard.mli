@@ -24,7 +24,6 @@ val create :
   ?max_inflight:int ->
   ?queue_cap:int ->
   ?work_cap:int ->
-  ?default_work:int ->
   unit ->
   t
 (** Defaults: 4 in-flight, 16 queued, no work cap, 20k work units
@@ -35,7 +34,7 @@ val capacity : t -> int
 
 val try_admit : ?work:int -> t -> admission
 (** Non-blocking admission of a request declaring [work] work units
-    (the guard's [default_work] when omitted).  Never waits: the
+    (20k when omitted).  Never waits: the
     caller replies with the shed error instead. *)
 
 val release : t -> ticket -> unit

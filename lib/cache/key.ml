@@ -288,7 +288,6 @@ type options = {
   coarsening : int;
   scheme : Swp_core.Compile.scheme;
   budget : int option;
-  portfolio : bool option;
   lns_rounds : int option;
   target : Kir.Ir.target;
       (** codegen backend the rendered kernel artifact is printed for;
@@ -303,7 +302,6 @@ let default_options =
     coarsening = 1;
     scheme = Swp_core.Compile.Swp_coalesced;
     budget = None;
-    portfolio = None;
     lns_rounds = None;
     target = Kir.Ir.Cuda;
   }
@@ -311,8 +309,7 @@ let default_options =
 let options_string (o : options) =
   let opt f = function None -> "none" | Some v -> f v in
   Printf.sprintf
-    "arch=%s sms=%d coarsening=%d scheme=%s budget=%s portfolio=%s lns=%s \
-     target=%s"
+    "arch=%s sms=%d coarsening=%d scheme=%s budget=%s lns=%s target=%s"
     o.arch.Gpusim.Arch.name
     (Option.value o.num_sms ~default:o.arch.Gpusim.Arch.num_sms)
     o.coarsening
@@ -320,7 +317,6 @@ let options_string (o : options) =
     | Swp_core.Compile.Swp_coalesced -> "SWP"
     | Swp_core.Compile.Swp_non_coalesced -> "SWPNC")
     (opt string_of_int o.budget)
-    (opt string_of_bool o.portfolio)
     (opt string_of_int o.lns_rounds)
     (Kir.Ir.target_name o.target)
 

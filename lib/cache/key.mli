@@ -35,7 +35,6 @@ type options = {
   coarsening : int;
   scheme : Swp_core.Compile.scheme;
   budget : int option;
-  portfolio : bool option;
   lns_rounds : int option;
   target : Kir.Ir.target;
       (** codegen backend for the rendered kernel artifact; part of the

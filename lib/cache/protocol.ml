@@ -22,7 +22,7 @@
       "program": "<builtin benchmark name>",       // one of program/src
       "src": "<inline .str source>",               //   required for compile
       "num_sms": N, "coarsening": N, "scheme": "SWP"|"SWPNC",
-      "budget": N, "deadline": SECONDS, "portfolio": bool, "lns_rounds": N,
+      "budget": N, "deadline": SECONDS, "lns_rounds": N,
       "target": "cuda"|"wgsl"|"opencl"|"metal",    // default "cuda"
       "warm": bool,                                // default true
       "artifacts": ["schedule","layout","kernel","report"]}  // default none
@@ -294,7 +294,6 @@ type request = {
   scheme : Swp_core.Compile.scheme;
   budget : int option;
   deadline : float option;
-  portfolio : bool option;
   lns_rounds : int option;
   target : Kir.Ir.target;
   warm : bool;
@@ -381,7 +380,6 @@ let request_of_json doc =
     let* coarsening = int_field doc "coarsening" in
     let* budget = int_field doc "budget" in
     let* deadline = num_field doc "deadline" in
-    let* portfolio = bool_field doc "portfolio" in
     let* lns_rounds = int_field doc "lns_rounds" in
     let* warm = bool_field doc "warm" in
     Ok
@@ -395,7 +393,6 @@ let request_of_json doc =
         scheme;
         budget;
         deadline;
-        portfolio;
         lns_rounds;
         target;
         warm = Option.value warm ~default:true;

@@ -42,7 +42,6 @@ type request = {
   deadline : float option;
       (** per-request wall-clock bound (seconds); deadline-shaped
           results are returned but never cached *)
-  portfolio : bool option;
   lns_rounds : int option;
   target : Kir.Ir.target;  (** codegen backend, default [Cuda] *)
   warm : bool;

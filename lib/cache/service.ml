@@ -171,8 +171,7 @@ let run_compile t (o : Key.options) ?seed_ii ?deadline g =
     failwith "injected fault: serve.compile";
   Compile.compile ~arch:o.Key.arch ?num_sms:o.Key.num_sms
     ~coarsening:o.Key.coarsening ~scheme:o.Key.scheme ?budget:o.Key.budget
-    ?portfolio:o.Key.portfolio ?lns_rounds:o.Key.lns_rounds ?seed_ii ?deadline
-    g
+    ?lns_rounds:o.Key.lns_rounds ?seed_ii ?deadline g
 
 (* --- single-flight get --- *)
 

@@ -69,22 +69,10 @@ let src_c =
    push(pop() + pop()); } filter U pop 1 push 0 { let y = pop(); } pipeline \
    R { add S; add T; add U; }"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let compile_line ~id ?(coarsening = 1) src =
   Printf.sprintf
     "{\"id\":%d,\"op\":\"compile\",\"coarsening\":%d,\"src\":\"%s\"}" id
-    coarsening (json_escape src)
+    coarsening (Obs.Report.escape src)
 
 (* The compile population each seed draws from; the audit cold-compiles
    the same pairs.  (src, coarsening) both feed the cache key. *)
@@ -112,7 +100,7 @@ let script_for rng =
         let src, coarsening = pick population in
         Printf.sprintf
           "{\"id\":%d,\"op\":\"compile\",\"coarsening\":%d,\"src\":\"%s\"}"
-          !id coarsening (json_escape src))
+          !id coarsening (Obs.Report.escape src))
   in
   add ("[" ^ String.concat "," batch ^ "]");
   add "{\"id\":100,\"op\":\"ping\"}";

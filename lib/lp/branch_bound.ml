@@ -37,16 +37,12 @@ let most_fractional_var int_vars (sol : Solution.t) =
     int_vars;
   Option.map fst !best
 
-let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
-    ?incumbent ?(use_reference_lp = false) ?cuts ?(cut_rounds = 8) problem =
-  let deadline =
-    Option.map (fun b -> Resil.Clock.now () +. b) time_budget_s
-  in
+let solve ?(node_budget = 10_000) ?budget ?incumbent
+    ?(use_reference_lp = false) ?cuts ?(cut_rounds = 8) problem =
   let dir, obj = Problem.objective problem in
+  (* A feasibility query (constant objective) stops at the first
+     integral solution. *)
   let feasibility_only = Linexpr.is_constant obj in
-  let first_solution =
-    match first_solution with Some b -> b | None -> feasibility_only
-  in
   let int_vars = Problem.integer_vars problem in
   let n = Problem.num_vars problem in
   let root =
@@ -110,16 +106,13 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
   let stack = ref [ root ] in
   (try
      (* A seeded feasibility search is already answered by its incumbent. *)
-     if first_solution && !incumbent <> None then raise Done;
+     if feasibility_only && !incumbent <> None then raise Done;
      while !stack <> [] do
        match !stack with
        | [] -> ()
        | node :: rest ->
          stack := rest;
          if !explored >= node_budget then raise Budget;
-         (match deadline with
-         | Some d when Resil.Clock.now () > d -> raise Budget
-         | _ -> ());
          (* Cooperative budget check: one work unit per node, and the
             token's own limits (work and, if armed, wall clock). *)
          (match budget with
@@ -131,11 +124,11 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
          if node.depth > !maxdepth then maxdepth := node.depth;
          let relaxation =
            if use_reference_lp then
-             Simplex.solve_with_bounds_reference ?deadline ?budget
-               ~stats:lp_stats problem ~lb:node.lb ~ub:node.ub
-           else
-             Simplex.solve_with_bounds ?deadline ?budget ~stats:lp_stats
+             Simplex.solve_with_bounds_reference ?budget ~stats:lp_stats
                problem ~lb:node.lb ~ub:node.ub
+           else
+             Simplex.solve_with_bounds ?budget ~stats:lp_stats problem
+               ~lb:node.lb ~ub:node.ub
          in
          (match relaxation with
          | Solution.Budget_exhausted _ ->
@@ -163,7 +156,7 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
                  incumbent := Some sol;
                  Obs.Metrics.inc m_incumbents
                end;
-               if first_solution then raise Done
+               if feasibility_only then raise Done
              | Some (v, x) ->
                let cut_this_round =
                  node.depth = 0 && !cut_rounds_left > 0
@@ -240,7 +233,6 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
   Obs.Metrics.observe h_depth (float_of_int !maxdepth);
   let budget_hit =
     !explored >= node_budget || !lp_budget_hit
-    || (match deadline with Some d -> Resil.Clock.now () > d | None -> false)
     || (match budget with Some b -> Resil.Budget.over b | None -> false)
   in
   match !incumbent with
@@ -249,7 +241,7 @@ let solve ?(node_budget = 10_000) ?time_budget_s ?budget ?first_solution
     (match Problem.check_assignment problem (fun v -> sol.values.(v)) with
     | Ok () -> ()
     | Error m -> failwith ("Branch_bound: invalid solution produced: " ^ m));
-    if budget_hit && not first_solution then
+    if budget_hit && not feasibility_only then
       (Solution.Budget_exhausted (Some sol), stats)
     else (Solution.Optimal sol, stats)
   | None ->

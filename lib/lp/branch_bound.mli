@@ -3,12 +3,13 @@
     Depth-first search branching on the most fractional integer variable.
     Because the paper's scheduling ILP is a *feasibility* problem (the
     objective is constant), the solver stops at the first integral solution
-    by default; with a non-trivial objective it keeps the best incumbent and
-    prunes on the LP bound.
+    when the objective is constant; otherwise it keeps the best incumbent
+    and prunes on the LP bound.
 
-    The [node_budget] caps the number of LP relaxations solved, mirroring
-    the paper's policy of allotting CPLEX 20 seconds per candidate II before
-    relaxing the II by 0.5 %. *)
+    A solve is bounded by [node_budget] (LP relaxations solved) and by
+    one optional {!Resil.Budget} token; the caller arms the token's
+    wall clock to mirror the paper's policy of allotting CPLEX 20
+    seconds per candidate II before relaxing the II by 0.5 %. *)
 
 open Numeric
 
@@ -23,27 +24,24 @@ type stats = {
 
 val solve :
   ?node_budget:int ->
-  ?time_budget_s:float ->
   ?budget:Resil.Budget.t ->
-  ?first_solution:bool ->
   ?incumbent:(int -> Rat.t) ->
   ?use_reference_lp:bool ->
   ?cuts:(Solution.t -> (Linexpr.t * Problem.relation * Linexpr.t) list) ->
   ?cut_rounds:int ->
   Problem.t ->
   Solution.outcome * stats
-(** [solve p] solves the MILP.  [node_budget] defaults to [10_000] and
-    [time_budget_s] (wall-clock seconds via [Resil.Clock], unlimited by
-    default) directly mirrors
-    the paper's 20-second CPLEX allotment per candidate II;
-    [first_solution] defaults to [true] when the objective is constant and
-    [false] otherwise.
+(** [solve p] solves the MILP.  [node_budget] defaults to [10_000].  A
+    constant objective makes [p] a feasibility query, answered by the
+    first integral solution found.
 
     [budget], when given, is a {!Resil.Budget} token charged one work
     unit per branch-and-bound node and one per simplex pivot (the token
-    is shared with every LP relaxation).  An exhausted token makes the
-    solve return [Budget_exhausted] exactly like [node_budget]; with a
-    work-unit-only token the cut-off point is deterministic.
+    is shared with every LP relaxation) and checked at every node — its
+    work cap and, when armed, its wall-clock deadline.  An exhausted
+    token makes the solve return [Budget_exhausted] exactly like
+    [node_budget]; with a work-unit-only token the cut-off point is
+    deterministic.
 
     [incumbent], when given, is a candidate assignment (variable id to
     value).  If it satisfies the problem it seeds the search — branch

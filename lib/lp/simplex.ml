@@ -325,7 +325,7 @@ let pivot t r c =
    pathological instances; it raises {!Pivot_limit}, which the MILP
    driver reports as budget exhaustion.
    @raise Pivot_limit *)
-let run_phase ?deadline ?budget t ~max_col =
+let run_phase ?budget t ~max_col =
   let m = Array.length t.rows in
   let bland_after = 10 * (m + t.ncols) in
   let max_pivots = 60 * (m + t.ncols) in
@@ -333,11 +333,8 @@ let run_phase ?deadline ?budget t ~max_col =
   let bland_noted = ref false in
   let rec loop () =
     if !pivots > max_pivots then raise Pivot_limit;
-    (match deadline with
-    | Some d when !pivots land 15 = 0 && Resil.Clock.now () > d -> raise Pivot_limit
-    | _ -> ());
     (* Work-unit exhaustion is checked every pivot (an int compare);
-       the wall-clock guard shares the deadline throttle above. *)
+       the token's wall clock only every 16th. *)
     (match budget with
     | Some b ->
       if
@@ -400,7 +397,7 @@ let run_phase ?deadline ?budget t ~max_col =
   in
   loop ()
 
-let solve_std_sparse ?deadline ?budget sf =
+let solve_std_sparse ?budget sf =
   let m = Array.length sf.srows in
   let slack_start = sf.nstruct in
   let art_start = sf.nstruct + sf.n_slack in
@@ -498,7 +495,7 @@ let solve_std_sparse ?deadline ?budget sf =
               row_iter_nz t.rows.(i) (fun j x ->
                   t.obj.(j) <- Rat.sub t.obj.(j) x)
           done;
-          run_phase ?deadline ?budget t ~max_col:art_start
+          run_phase ?budget t ~max_col:art_start
         end
       in
       match phase1_result with
@@ -538,7 +535,7 @@ let solve_std_sparse ?deadline ?budget sf =
             row_iter_nz t.rows.(i) (fun j x ->
                 t.obj.(j) <- Rat.sub t.obj.(j) (Rat.mul cb x))
         done;
-        (match run_phase ?deadline ?budget t ~max_col:art_start with
+        (match run_phase ?budget t ~max_col:art_start with
         | `Unbounded -> Solution.Unbounded
         | `Optimal ->
           (* Extract: std column values, then map back. *)
@@ -592,7 +589,7 @@ module Dense_core = struct
     t.basis.(r) <- c;
     t.pivots <- t.pivots + 1
 
-  let run_phase ?deadline ?budget t ~max_col =
+  let run_phase ?budget t ~max_col =
     let m = Array.length t.rows in
     let bland_after = 10 * (m + t.ncols) in
     let max_pivots = 60 * (m + t.ncols) in
@@ -600,10 +597,6 @@ module Dense_core = struct
     let bland_noted = ref false in
     let rec loop () =
       if !pivots > max_pivots then raise Pivot_limit;
-      (match deadline with
-      | Some d when !pivots land 15 = 0 && Resil.Clock.now () > d ->
-        raise Pivot_limit
-      | _ -> ());
       (match budget with
       | Some b ->
         if
@@ -666,7 +659,7 @@ module Dense_core = struct
     in
     loop ()
 
-  let solve_std ?deadline ?budget sf =
+  let solve_std ?budget sf =
     let m = Array.length sf.srows in
     let slack_start = sf.nstruct in
     let art_start = sf.nstruct + sf.n_slack in
@@ -721,7 +714,7 @@ module Dense_core = struct
               t.obj.(j) <- Rat.sub t.obj.(j) t.rows.(i).(j)
             done
         done;
-        run_phase ?deadline ?budget t ~max_col:art_start
+        run_phase ?budget t ~max_col:art_start
       end
     in
     match phase1_result with
@@ -753,7 +746,7 @@ module Dense_core = struct
               t.obj.(j) <- Rat.sub t.obj.(j) (Rat.mul cb t.rows.(i).(j))
             done
         done;
-        (match run_phase ?deadline ?budget t ~max_col:art_start with
+        (match run_phase ?budget t ~max_col:art_start with
         | `Unbounded -> Solution.Unbounded
         | `Optimal ->
           let colval = Array.make ncols q0 in
@@ -800,11 +793,11 @@ let record_stats stats s =
   | None -> ()
   | Some r -> r := Solution.add_lp_stats !r s
 
-let solve_with_bounds ?deadline ?budget ?stats problem ~lb ~ub =
+let solve_with_bounds ?budget ?stats problem ~lb ~ub =
   match build_std problem ~lb ~ub with
   | None -> Solution.Infeasible
   | Some sf ->
-    let outcome, st = solve_std_sparse ?deadline ?budget sf in
+    let outcome, st = solve_std_sparse ?budget sf in
     Solution.record_to_registry st;
     record_stats stats st;
     outcome
@@ -815,7 +808,7 @@ let solve problem =
   let ub = Array.init n (Problem.var_ub problem) in
   solve_with_bounds problem ~lb ~ub
 
-let feasible_with_bounds ?deadline ?budget ?stats problem ~lb ~ub =
+let feasible_with_bounds ?budget ?stats problem ~lb ~ub =
   match build_std problem ~lb ~ub with
   | None -> `Infeasible
   | Some sf ->
@@ -823,7 +816,7 @@ let feasible_with_bounds ?deadline ?budget ?stats problem ~lb ~ub =
        constant, phase 2 prices an all-zero cost row and performs zero
        pivots, so the solve cost is exactly the phase-1 search. *)
     let sf = { sf with ocoeffs = []; oconst = Rat.zero } in
-    let outcome, st = solve_std_sparse ?deadline ?budget sf in
+    let outcome, st = solve_std_sparse ?budget sf in
     Solution.record_to_registry st;
     record_stats stats st;
     (match outcome with
@@ -831,12 +824,12 @@ let feasible_with_bounds ?deadline ?budget ?stats problem ~lb ~ub =
     | Solution.Optimal _ | Solution.Unbounded -> `Feasible
     | Solution.Budget_exhausted _ -> `Unknown)
 
-let solve_with_bounds_reference ?deadline ?budget ?stats problem ~lb ~ub =
+let solve_with_bounds_reference ?budget ?stats problem ~lb ~ub =
   match build_std problem ~lb ~ub with
   | None -> Solution.Infeasible
   | Some sf -> (
     let outcome =
-      try Dense_core.solve_std ?deadline ?budget sf
+      try Dense_core.solve_std ?budget sf
       with Pivot_limit -> Solution.Budget_exhausted None
     in
     (match outcome with

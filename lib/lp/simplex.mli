@@ -26,7 +26,6 @@ val solve : Problem.t -> Solution.outcome
 (** Solve the LP relaxation with the problem's own variable bounds. *)
 
 val solve_with_bounds :
-  ?deadline:float ->
   ?budget:Resil.Budget.t ->
   ?stats:Solution.lp_stats ref ->
   Problem.t ->
@@ -36,17 +35,16 @@ val solve_with_bounds :
 (** Like {!solve} but with per-variable bound overrides (used by
     branch-and-bound to impose branching decisions without mutating the
     problem).  Arrays are indexed by variable id and must cover every
-    variable.  [deadline] is an absolute [Resil.Clock.now ()] value past which
-    pivoting aborts with [Budget_exhausted None].  [budget], when given,
-    is charged one work unit per pivot and checked cooperatively: an
-    exhausted token (work units, or its wall-clock deadline) also aborts
-    with [Budget_exhausted None] — work-unit exhaustion is deterministic
-    in the pivot sequence alone.  [stats], when given, is accumulated
+    variable.  [budget], when given, is the solve's only limit besides
+    the hard pivot cap: it is charged one work unit per pivot, its work
+    cap is checked every pivot and its wall-clock deadline (if armed)
+    every 16th, and an exhausted token aborts with
+    [Budget_exhausted None] — work-unit exhaustion is deterministic in
+    the pivot sequence alone.  [stats], when given, is accumulated
     with the solve's pivot/fill statistics whatever the outcome (see
     {!Solution.add_lp_stats}). *)
 
 val feasible_with_bounds :
-  ?deadline:float ->
   ?budget:Resil.Budget.t ->
   ?stats:Solution.lp_stats ref ->
   Problem.t ->
@@ -59,14 +57,13 @@ val feasible_with_bounds :
     MILP) has no solution under the given bounds — the primitive the
     LP-relaxation lower bound in [Swp_core.Mii] and the LNS window
     screen are built on.  [`Unknown] means the pivot budget ran out
-    first.  Deadline/budget/stats behave as in {!solve_with_bounds}. *)
+    first.  [budget]/[stats] behave as in {!solve_with_bounds}. *)
 
 val solve_reference : Problem.t -> Solution.outcome
 (** Dense-tableau reference implementation (the original solver).  Kept
     for cross-validation; use {!solve} in production code. *)
 
 val solve_with_bounds_reference :
-  ?deadline:float ->
   ?budget:Resil.Budget.t ->
   ?stats:Solution.lp_stats ref ->
   Problem.t ->

@@ -118,29 +118,13 @@ let find_all name =
 
 (* ---------- export ---------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_value = function
   | Int i -> string_of_int i
   | Float f ->
     if Float.is_integer f && Float.abs f < 1e15 then
       Printf.sprintf "%.1f" f
     else Printf.sprintf "%.6g" f
-  | Str s -> "\"" ^ json_escape s ^ "\""
+  | Str s -> "\"" ^ Report.escape s ^ "\""
   | Bool b -> if b then "true" else "false"
 
 let to_chrome_json () =
@@ -153,7 +137,7 @@ let to_chrome_json () =
       (Printf.sprintf
          "{\"name\":\"%s\",\"cat\":\"pipeline\",\"ph\":\"X\",\"ts\":%.1f,\
           \"dur\":%.1f,\"pid\":1,\"tid\":%d"
-         (json_escape s.name) s.start_us
+         (Report.escape s.name) s.start_us
          (s.end_us -. s.start_us)
          tid);
     if s.attrs <> [] then begin
@@ -162,7 +146,7 @@ let to_chrome_json () =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_string b
-            (Printf.sprintf "\"%s\":%s" (json_escape k) (json_of_value v)))
+            (Printf.sprintf "\"%s\":%s" (Report.escape k) (json_of_value v)))
         s.attrs;
       Buffer.add_char b '}'
     end;

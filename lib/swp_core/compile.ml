@@ -59,7 +59,7 @@ let ( let* ) = Result.bind
 let inject site = if Resil.Inject.armed () then Resil.Inject.fire site
 
 let compile ?(arch = Gpusim.Arch.geforce_8800_gts_512) ?num_sms
-    ?(coarsening = 1) ?solver ?portfolio ?lns_rounds
+    ?(coarsening = 1) ?solver ?lns_rounds
     ?(scheme = Swp_coalesced) ?deadline ?budget ?(on_budget = `Degrade)
     ?seed_ii graph =
   let num_sms = Option.value num_sms ~default:arch.Gpusim.Arch.num_sms in
@@ -201,14 +201,8 @@ let compile ?(arch = Gpusim.Arch.geforce_8800_gts_512) ?num_sms
                 inject "stage.search";
                 Result.map_error
                   (fun e -> `Search e)
-                  (match solver with
-                  | Some s ->
-                    Ii_search.search ~solver:s ?portfolio ?lns_rounds
-                      ~budget:search_budget graph config ~num_sms
-                  | None ->
-                    Ii_search.search ?portfolio ?lns_rounds
-                      ~budget:search_budget graph config ~num_sms
-                  )
+                  (Ii_search.search ?solver ?lns_rounds ~budget:search_budget
+                     graph config ~num_sms)
               with
               | Resil.Inject.Injected site -> Error (`Fault site)
               | Resil.Budget.Exhausted { label; reason } ->

@@ -89,7 +89,6 @@ val compile :
   ?num_sms:int ->
   ?coarsening:int ->
   ?solver:Ii_search.solver ->
-  ?portfolio:bool ->
   ?lns_rounds:int ->
   ?scheme:scheme ->
   ?deadline:float ->
@@ -100,9 +99,9 @@ val compile :
   (compiled, string) result
 (** Defaults: the GeForce 8800 GTS 512 with all 16 SMs, coarsening 1,
     [Auto] solver, coalesced scheme, no deadline, no budget,
-    [on_budget = `Degrade].  [portfolio] and [lns_rounds] pass through
-    to {!Ii_search.search} (portfolio arm racing per candidate II, and
-    the LNS refinement round cap).
+    [on_budget = `Degrade].  [solver] and [lns_rounds] pass through
+    to {!Ii_search.search} (the per-candidate-II solver, and the LNS
+    refinement round cap).
 
     [deadline] bounds the whole pipeline in wall-clock seconds:
     profiling and selection check it cooperatively, and the II search

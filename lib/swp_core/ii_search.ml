@@ -1,7 +1,6 @@
 type solver = Exact of int | Heuristic | Auto of int
 
 type budget = {
-  attempt_work : int option;
   exact_time_s : float option;
   auto_time_s : float option;
   total_work : int option;
@@ -10,7 +9,6 @@ type budget = {
 
 let default_budget =
   {
-    attempt_work = None;
     exact_time_s = Some 20.0;
     auto_time_s = Some 1.0;
     total_work = None;
@@ -114,9 +112,13 @@ let h_relax = Obs.Metrics.histogram "ii_search.relaxation"
 let lp_bound_max_vars = 128
 let lp_bound_max_ii = 256
 
-let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
-    ?(budget = default_budget) ?(relax_step = 0.005) ?(max_relax = 4.0) g cfg
-    ~num_sms =
+(* The paper's relaxation: on failure raise the II by 0.5% (at least one
+   cycle), and give up beyond 5x the bound. *)
+let relax_step = 0.005
+let max_relax = 4.0
+
+let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
+    g cfg ~num_sms =
   Obs.Trace.with_span "ii_search" @@ fun () ->
   Obs.Metrics.inc m_searches;
   (* The instance/dependence expansion does not depend on the candidate II:
@@ -266,14 +268,17 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
       ~attrs:[ ("ii", Obs.Trace.Int ii) ]
     @@ fun () ->
     let t0 = Resil.Clock.now () in
-    let bb = ref None in
-    (* Per-attempt work allotment: a fresh token per probe, so probes
-       stay pure functions of their candidate II under parallel
-       speculation. *)
+    (* The attempt's one solve limit: a fresh root token (so probes stay
+       pure functions of their candidate II under parallel speculation)
+       whose wall clock is the mode's per-attempt allotment, armed now. *)
     let tok =
-      Option.map
-        (fun w -> Resil.Budget.create ~label:"ii_search.attempt" ~work:w ())
-        budget.attempt_work
+      Resil.Budget.create ~label:"ii_search.attempt"
+        ?wall_s:
+          (match solver with
+          | Exact _ -> budget.exact_time_s
+          | Auto _ -> budget.auto_time_s
+          | Heuristic -> None)
+        ()
     in
     (* Fault-injection point: an armed ["ii_search.attempt"] fault turns
        this probe into a budget-exhausted infeasible attempt, exercising
@@ -281,25 +286,22 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
     let injected =
       Resil.Inject.armed () && Resil.Inject.hit "ii_search.attempt"
     in
-    let arm = ref "none" in
-    let arms_run = ref 1 in
-    let res =
-      if injected then None
+    let race ?node_budget allow_exact =
+      let o =
+        Portfolio.try_ii ~budget:tok ~allow_exact ?node_budget ~insts ~deps g
+          cfg ~num_sms ~ii
+      in
+      ( Option.map
+          (fun s -> (s, o.Portfolio.arm = "exact"))
+          o.Portfolio.schedule,
+        o.Portfolio.arm,
+        o.Portfolio.arms_run,
+        o.Portfolio.bb )
+    in
+    let res, arm, arms_run, bb =
+      if injected then (None, "none", 1, None)
       else
         match solver with
-        | Heuristic ->
-          if portfolio then begin
-            let o = Portfolio.try_ii ?tok ~insts ~deps g cfg ~num_sms ~ii in
-            arm := o.Portfolio.arm;
-            arms_run := o.Portfolio.arms_run;
-            Option.map (fun s -> (s, false)) o.Portfolio.schedule
-          end
-          else (
-            match Heuristic.solve ~insts ~deps g cfg ~num_sms ~ii with
-            | `Schedule s ->
-              arm := "ffd";
-              Some (s, false)
-            | `Infeasible -> None)
         | Exact nb -> (
           (* Warm start: hand the ILP the heuristic's schedule as its
              incumbent — branch-and-bound verifies it against the full
@@ -311,65 +313,35 @@ let search ?(solver = Auto 2000) ?(portfolio = true) ?(lns_rounds = 12)
             | `Schedule s -> Some s
             | `Infeasible -> None
           in
+          let bb = ref None in
           match
-            Ilp.solve ~node_budget:nb ?time_budget_s:budget.exact_time_s
-              ?budget:tok ~insts ~deps ?warm_start ~stats:bb g cfg ~num_sms
-              ~ii
+            Ilp.solve ~node_budget:nb ~budget:tok ~insts ~deps ?warm_start
+              ~stats:bb g cfg ~num_sms ~ii
           with
-          | `Schedule s ->
-            arm := "exact";
-            Some (s, true)
-          | `Infeasible | `Budget_exhausted -> None)
+          | `Schedule s -> (Some (s, true), "exact", 1, !bb)
+          | `Infeasible | `Budget_exhausted -> (None, "none", 1, !bb))
+        | Heuristic -> race false
         | Auto nb ->
-          if portfolio then begin
-            (* The exact arm is only admitted on problems small enough
-               for branch-and-bound to stand a chance within its budget
-               (the assignment variables alone number instances x SMs)
-               and near the bound, where the packing granularity is the
-               limiting factor. *)
-            let o =
-              Portfolio.try_ii ?tok
-                ~allow_exact:(exact_gate_ok && near_bound ii) ~node_budget:nb
-                ?time_budget_s:budget.auto_time_s ~insts ~deps g cfg ~num_sms
-                ~ii
-            in
-            arm := o.Portfolio.arm;
-            arms_run := o.Portfolio.arms_run;
-            bb := o.Portfolio.bb;
-            Option.map
-              (fun s -> (s, o.Portfolio.arm = "exact"))
-              o.Portfolio.schedule
-          end
-          else (
-            match Heuristic.solve ~insts ~deps g cfg ~num_sms ~ii with
-            | `Schedule s ->
-              arm := "ffd";
-              Some (s, false)
-            | `Infeasible ->
-              if (not exact_gate_ok) || not (near_bound ii) then None
-              else (
-                match
-                  Ilp.solve ~node_budget:nb ?time_budget_s:budget.auto_time_s
-                    ?budget:tok ~insts ~deps ~stats:bb g cfg ~num_sms ~ii
-                with
-                | `Schedule s ->
-                  arm := "exact";
-                  Some (s, true)
-                | `Infeasible | `Budget_exhausted -> None))
+          (* The exact arm is only admitted on problems small enough for
+             branch-and-bound to stand a chance within its budget (the
+             assignment variables alone number instances x SMs) and near
+             the bound, where the packing granularity is the limiting
+             factor. *)
+          race ~node_budget:nb (exact_gate_ok && near_bound ii)
     in
     let tried_exact =
       match solver with
       | Exact _ -> not injected
-      | Heuristic -> false
-      | Auto _ -> !bb <> None
+      | Heuristic | Auto _ -> bb <> None
     in
+    (* Only an exact solve consults the token, so only a failed one can
+       have been cut short by its wall cap. *)
     let budget_hit =
-      injected
-      || (match tok with Some b -> Resil.Budget.over b | None -> false)
+      injected || (res = None && tried_exact && Resil.Budget.over tok)
     in
     ( res,
-      mk_attempt ~ii ~arm:!arm ~arms_run:!arms_run ~tried_exact
-        ~feasible:(res <> None) ~budget_hit ~t0 !bb )
+      mk_attempt ~ii ~arm ~arms_run ~tried_exact ~feasible:(res <> None)
+        ~budget_hit ~t0 bb )
   in
   let max_ii = int_of_float (float_of_int lb *. (1.0 +. max_relax)) + 1 in
   let next_ii ii =

@@ -2,10 +2,11 @@
 
     The paper's methodology: start at the lower bound
     [max(ResMII, RecMII)], allot the solver a fixed budget, and on
-    failure relax the II by 0.5% (at least 1 cycle) and retry.  We keep
-    the same loop; the budget is a branch-and-bound node budget instead
-    of 20 wall-clock seconds, and a heuristic modulo scheduler can be
-    tried at each candidate II before or instead of the exact ILP.
+    failure relax the II by 0.5% (at least 1 cycle) and retry, giving up
+    beyond 5x the bound.  We keep the same loop; each candidate II races
+    the {!Portfolio} arms (heuristic packings, then in [Auto] mode the
+    exact ILP near the bound), and the first feasible candidate is
+    refined downward by {!Lns.refine}.
 
     The search derives the instance/dependence expansion {e once} and
     reuses it across every candidate II, and in [Exact] mode warm-starts
@@ -14,20 +15,22 @@
 
     {2 Budgets}
 
-    A {!budget} bounds the search along two axes.  {e Per-attempt}
-    limits ([attempt_work], and the paper-mirroring [exact_time_s] /
-    [auto_time_s] CPU allotments) bound one candidate II's solve; the
-    search then relaxes and retries, so they shape quality, not
-    termination.  {e Search-wide} limits ([total_work],
-    [wall_clock_s]) stop the whole search with a structured {!error}
-    that the compiler turns into a degraded-but-valid schedule.
+    A {!budget} bounds the search along two axes.  {e Per-attempt}: each
+    candidate II gets one fresh {!Resil.Budget} token, armed at attempt
+    start with the mode's wall-clock allotment ([exact_time_s] — the
+    paper's 20 s CPLEX allotment — or [auto_time_s]) and passed to the
+    exact solve as its only limit besides the node budget; the search
+    then relaxes and retries, so this shapes quality, not termination.
+    {e Search-wide} limits ([total_work], [wall_clock_s]) stop the whole
+    search with a structured {!error} that the compiler turns into a
+    degraded-but-valid schedule.
 
     Work-unit limits (simplex pivots + branch-and-bound nodes, one unit
-    each, plus one per committed attempt) are deterministic: the ledger
-    is charged only when an attempt {e commits}, in candidate order, so
-    a budgeted parallel search cuts off at exactly the attempt the
-    serial search would.  Wall-clock limits are nondeterministic and
-    opt-in. *)
+    each, plus one per arm raced) are deterministic: the ledger is
+    charged only when an attempt {e commits}, in candidate order, so a
+    budgeted parallel search cuts off at exactly the attempt the serial
+    search would.  Wall-clock limits are nondeterministic: an attempt
+    they cut short is logged with [budget_hit]. *)
 
 type solver =
   | Exact of int
@@ -41,14 +44,11 @@ type solver =
           before relaxing *)
 
 type budget = {
-  attempt_work : int option;
-      (** work-unit cap per candidate II's ILP solve (pivots + nodes);
-          deterministic *)
   exact_time_s : float option;
-      (** CPU-seconds cap per [Exact] ILP solve — the paper's 20 s
+      (** wall-clock seconds per [Exact] attempt — the paper's 20 s
           CPLEX allotment *)
   auto_time_s : float option;
-      (** CPU-seconds cap per [Auto] rescue ILP solve *)
+      (** wall-clock seconds per [Auto] attempt (bounds its exact arm) *)
   total_work : int option;
       (** work-unit ledger for the whole search; exhaustion stops it
           with reason [`Budget].  Deterministic *)
@@ -58,10 +58,9 @@ type budget = {
 }
 
 val default_budget : budget
-(** [{ attempt_work = None; exact_time_s = Some 20.0;
-      auto_time_s = Some 1.0; total_work = None; wall_clock_s = None }]
-    — exactly the paper-derived per-attempt CPU allotments the search
-    always had, and no search-wide limit. *)
+(** [{ exact_time_s = Some 20.0; auto_time_s = Some 1.0;
+      total_work = None; wall_clock_s = None }] — the paper-derived
+    per-attempt allotments, and no search-wide limit. *)
 
 type attempt = {
   ii : int;                (** candidate II of this attempt *)
@@ -71,13 +70,14 @@ type attempt = {
           refinement probe, or ["none"] when nothing was feasible *)
   tried_exact : bool;      (** the exact ILP ran (possibly warm-started) *)
   feasible : bool;
-  solve_time_s : float;    (** CPU seconds spent on this candidate *)
+  solve_time_s : float;    (** wall seconds spent on this candidate *)
   lp_pivots : int;         (** simplex pivots across the ILP's relaxations *)
   bb_nodes : int;          (** branch-and-bound nodes explored *)
   work_units : int;        (** [lp_pivots + bb_nodes + arms raced] (at
                                least one), the ledger charge *)
-  budget_hit : bool;       (** the per-attempt budget cut this solve short
-                               (or a fault was injected here) *)
+  budget_hit : bool;       (** an exact solve failed with its attempt's
+                               wall cap spent (or a fault was injected
+                               here) *)
 }
 
 type stats = {
@@ -127,26 +127,21 @@ val log_signature : stats -> string
 
 val search :
   ?solver:solver ->
-  ?portfolio:bool ->
   ?lns_rounds:int ->
   ?budget:budget ->
-  ?relax_step:float ->
-  ?max_relax:float ->
   Streamit.Graph.t ->
   Select.config ->
   num_sms:int ->
   (Swp_schedule.t * stats, error) result
-(** Defaults: [solver = Auto 2000], [portfolio = true],
-    [lns_rounds = 12], [budget = default_budget], [relax_step = 0.005]
-    (the paper's 0.5%), [max_relax = 4.0] (give up beyond 5x the
-    bound).
+(** Defaults: [solver = Auto 2000], [lns_rounds = 12],
+    [budget = default_budget].
 
-    [portfolio] races the {!Heuristic.all_strategies} packings (and, in
-    [Auto] mode near the bound on small problems, the cut-armed exact
-    ILP) per candidate II — see {!Portfolio.try_ii}; [false] restores
-    the historical first-fit-then-maybe-exact ladder.  [lns_rounds]
-    bounds the {!Lns.refine} probes run below the first feasible
-    candidate ([0] disables refinement; [Exact] mode never refines).
-    Both preserve byte-identical determinism: arms race in a fixed
-    order under work-unit budgets, and refinement probes run serially
-    at commit time. *)
+    Each candidate II races the {!Heuristic.all_strategies} packings
+    (and, in [Auto] mode near the bound on small problems, the cut-armed
+    exact ILP) — see {!Portfolio.try_ii}; [Exact] mode warm-starts the
+    ILP from the first-fit packing instead.  [lns_rounds] bounds the
+    {!Lns.refine} probes run below the first feasible candidate ([0]
+    disables refinement; [Exact] mode never refines).  Both preserve
+    byte-identical determinism: arms race in a fixed order under
+    work-unit budgets, and refinement probes run serially at commit
+    time. *)

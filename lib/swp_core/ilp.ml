@@ -286,8 +286,8 @@ let assignment_of_schedule p vm insts deps (s : Swp_schedule.t) ~num_sms =
     deps;
   fun v -> values.(v)
 
-let solve ?(node_budget = 4000) ?time_budget_s ?budget ?insts ?deps ?warm_start
-    ?stats ?(cuts = false) g cfg ~num_sms ~ii =
+let solve ?(node_budget = 4000) ?budget ?insts ?deps ?warm_start ?stats
+    ?(cuts = false) g cfg ~num_sms ~ii =
   let insts =
     match insts with Some l -> l | None -> Instances.instances cfg
   in
@@ -306,8 +306,7 @@ let solve ?(node_budget = 4000) ?time_budget_s ?budget ?insts ?deps ?warm_start
       if cuts then Some (cover_cuts vm insts cfg ~num_sms ~ii) else None
     in
     let outcome, bb =
-      Lp.Branch_bound.solve ~node_budget ?time_budget_s ?budget ?incumbent
-        ?cuts:cut_gen p
+      Lp.Branch_bound.solve ~node_budget ?budget ?incumbent ?cuts:cut_gen p
     in
     (match stats with Some r -> r := Some bb | None -> ());
     match outcome with

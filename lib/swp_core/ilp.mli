@@ -11,8 +11,8 @@
     - the two dependence systems (8).
 
     The problem is a pure feasibility ILP (constant objective), solved by
-    {!Lp.Branch_bound} — our CPLEX stand-in — under a node budget that
-    mirrors the paper's 20-second allotment. *)
+    {!Lp.Branch_bound} — our CPLEX stand-in — under a node budget and a
+    wall-clock token that mirror the paper's 20-second allotment. *)
 
 type var_map = {
   w : (int * int * int, int) Hashtbl.t;  (** (node, k, sm) -> variable id *)
@@ -58,7 +58,6 @@ val cover_cuts :
 
 val solve :
   ?node_budget:int ->
-  ?time_budget_s:float ->
   ?budget:Resil.Budget.t ->
   ?insts:Instances.instance list ->
   ?deps:Instances.dep list ->
@@ -80,9 +79,10 @@ val solve :
     constraint and returns immediately instead of exploring.  SM labels
     are permuted to satisfy the symmetry-breaking constraint first.
 
-    [budget], when given, is a {!Resil.Budget} token shared by
-    branch-and-bound and every LP relaxation (one work unit per node and
-    one per simplex pivot); an exhausted token yields
+    [budget], when given, is the solve's {!Resil.Budget} token, shared
+    by branch-and-bound and every LP relaxation (one work unit per node
+    and one per simplex pivot); the II search arms its wall clock with
+    the per-attempt allotment.  An exhausted token yields
     [`Budget_exhausted], deterministically when the token has no
     wall-clock deadline.
 

@@ -31,6 +31,13 @@ let m_window_solves = Obs.Metrics.counter "lns.window_solves"
    longer translate into bounded wall time per pivot. *)
 let exact_max_target = 512
 
+(* Each exact window re-pack runs under a node cap and a work-unit cap,
+   and windows past [max_window_vars] assignment variables skip the
+   exact step entirely. *)
+let window_nodes = 600
+let window_work = 1500
+let max_window_vars = 96
+
 (* Greedy repair: relocations first (worst-fit destination — the least
    loaded SM that fits, so future moves keep room), then swaps of a big
    instance on an overloaded SM against a smaller one elsewhere.  Every
@@ -120,7 +127,7 @@ let repair ~n ~delays ~num_sms ~target sm_of =
    the still-overloaded SMs, with the other SMs' loads frozen as reduced
    capacities.  Screened by the phase-1 LP feasibility oracle first so
    provably hopeless windows never reach branch-and-bound. *)
-let exact_repack ~delays ~window ~caps ~node_budget ~work tok_pivots tok_nodes =
+let exact_repack ~delays ~window ~caps tok_pivots tok_nodes =
   let num_sms = Array.length caps in
   let p = Lp.Problem.create () in
   let var = Hashtbl.create 64 in
@@ -151,7 +158,7 @@ let exact_repack ~delays ~window ~caps ~node_budget ~work tok_pivots tok_nodes =
               window))
         Lp.Problem.Le (Lp.Linexpr.of_int cap))
     caps;
-  let tok = Resil.Budget.create ~label:"lns.window" ~work () in
+  let tok = Resil.Budget.create ~label:"lns.window" ~work:window_work () in
   let nv = Lp.Problem.num_vars p in
   let lb = Array.init nv (Lp.Problem.var_lb p)
   and ub = Array.init nv (Lp.Problem.var_ub p) in
@@ -163,7 +170,9 @@ let exact_repack ~delays ~window ~caps ~node_budget ~work tok_pivots tok_nodes =
   | `Unknown -> None
   | `Feasible -> (
     Obs.Metrics.inc m_window_solves;
-    let outcome, bb = Lp.Branch_bound.solve ~node_budget ~budget:tok p in
+    let outcome, bb =
+      Lp.Branch_bound.solve ~node_budget:window_nodes ~budget:tok p
+    in
     tok_pivots := !tok_pivots + bb.Lp.Branch_bound.lp_pivots;
     tok_nodes := !tok_nodes + bb.Lp.Branch_bound.nodes_explored;
     match outcome with
@@ -180,8 +189,7 @@ let exact_repack ~delays ~window ~caps ~node_budget ~work tok_pivots tok_nodes =
            window)
     | _ -> None)
 
-let refine ?(rounds = 12) ?(node_budget = 600) ?(window_work = 1500)
-    ?(max_window_vars = 96) ~ledger_ok ~commit ~insts ~deps g cfg ~num_sms ~lb
+let refine ?(rounds = 12) ~ledger_ok ~commit ~insts ~deps g cfg ~num_sms ~lb
     (s0 : Swp_schedule.t) =
   let insts = Array.of_list insts in
   let n = Array.length insts in
@@ -232,10 +240,7 @@ let refine ?(rounds = 12) ?(node_budget = 600) ?(window_work = 1500)
               if not in_window.(i) then
                 caps.(sm_of.(i)) <- caps.(sm_of.(i)) - delays.(i)
             done;
-            match
-              exact_repack ~delays ~window ~caps ~node_budget
-                ~work:window_work pivots nodes
-            with
+            match exact_repack ~delays ~window ~caps pivots nodes with
             | None -> false
             | Some assign ->
               List.iter (fun (i, sm) -> if sm >= 0 then sm_of.(i) <- sm) assign;

@@ -36,9 +36,6 @@ type probe = {
 
 val refine :
   ?rounds:int ->
-  ?node_budget:int ->
-  ?window_work:int ->
-  ?max_window_vars:int ->
   ledger_ok:(unit -> bool) ->
   commit:(probe -> unit) ->
   insts:Instances.instance list ->
@@ -54,8 +51,7 @@ val refine :
     most [rounds] (default 12) probes run; [ledger_ok] is consulted
     before each probe so an exhausted search ledger stops refinement
     without failing the search, and [commit] is called exactly once per
-    probe, in order, with its deterministic work accounting.
-    [node_budget] (default 600) and [window_work] (default 1500 work
-    units) bound each exact window re-pack; windows larger than
-    [max_window_vars] (default 96) assignment variables skip the exact
-    step entirely. *)
+    probe, in order, with its deterministic work accounting.  Each
+    exact window re-pack is bounded by 600 branch-and-bound nodes and
+    1500 work units; windows larger than 96 assignment variables skip
+    the exact step entirely. *)

@@ -1,14 +1,13 @@
 (* Per-candidate-II portfolio: the heuristic packing strategies and the
    (gated) exact ILP raced as budgeted arms.  The racing order is fixed
    — ffd, bfd, bal, then exact — and the first feasible arm wins, so
-   the outcome is a pure function of the candidate II and the arms'
-   work caps: speculative parallel probing commits exactly what the
-   serial race would have. *)
+   the outcome is a pure function of the candidate II (and, for the
+   exact arm, of where the attempt's wall cap cuts it): speculative
+   parallel probing commits exactly what the serial race would have. *)
 
 type outcome = {
   schedule : Swp_schedule.t option;
   arm : string;
-  tried_exact : bool;
   arms_run : int;
   bb : Lp.Branch_bound.stats option;
 }
@@ -43,58 +42,33 @@ let record_lns ~from_ii ~to_ii =
     *. float_of_int (from_ii - to_ii)
     /. float_of_int (max 1 from_ii))
 
-let try_ii ?tok ?(allow_exact = false) ?(node_budget = 2000) ?time_budget_s
-    ?(cuts = true) ~insts ~deps g cfg ~num_sms ~ii =
-  let arms_run = ref 0 in
-  let over () =
-    match tok with Some t -> Resil.Budget.over_work t | None -> false
+let try_ii ?budget ?(allow_exact = false) ?(node_budget = 2000) ~insts ~deps g
+    cfg ~num_sms ~ii =
+  let rec heur n = function
+    | [] -> (None, n)
+    | s :: tl -> (
+      match Heuristic.solve ~strategy:s ~insts ~deps g cfg ~num_sms ~ii with
+      | `Schedule sched -> (Some (sched, Heuristic.strategy_name s), n + 1)
+      | `Infeasible -> heur (n + 1) tl)
   in
-  (* Heuristic arms: one work unit each, charged through a per-arm
-     sub-token so a tight per-attempt allotment cuts the race short
-     deterministically. *)
-  let rec heur = function
-    | [] -> None
-    | s :: tl ->
-      if over () then None
-      else begin
-        incr arms_run;
-        (match tok with
-        | Some t ->
-          Resil.Budget.charge
-            (Resil.Budget.sub ~label:("arm." ^ Heuristic.strategy_name s) t)
-            1
-        | None -> ());
-        match Heuristic.solve ~strategy:s ~insts ~deps g cfg ~num_sms ~ii with
-        | `Schedule sched -> Some (sched, Heuristic.strategy_name s)
-        | `Infeasible -> heur tl
-      end
-  in
-  match heur Heuristic.all_strategies with
-  | Some (s, arm) ->
-    { schedule = Some s; arm; tried_exact = false; arms_run = !arms_run; bb = None }
-  | None ->
-    if (not allow_exact) || over () then
-      {
-        schedule = None;
-        arm = "none";
-        tried_exact = false;
-        arms_run = !arms_run;
-        bb = None;
-      }
-    else begin
-      incr arms_run;
-      let sub = Option.map (Resil.Budget.sub ~label:"arm.exact") tok in
-      let bb = ref None in
-      let res =
-        Ilp.solve ~node_budget ?time_budget_s ?budget:sub ~insts ~deps
-          ~stats:bb ~cuts g cfg ~num_sms ~ii
-      in
-      let schedule = match res with `Schedule s -> Some s | _ -> None in
-      {
-        schedule;
-        arm = (if schedule <> None then "exact" else "none");
-        tried_exact = true;
-        arms_run = !arms_run;
-        bb = !bb;
-      }
-    end
+  match heur 0 Heuristic.all_strategies with
+  | Some (s, arm), arms_run ->
+    { schedule = Some s; arm; arms_run; bb = None }
+  | None, arms_run when not allow_exact ->
+    { schedule = None; arm = "none"; arms_run; bb = None }
+  | None, arms_run ->
+    let bb = ref None in
+    let schedule =
+      match
+        Ilp.solve ~node_budget ?budget ~insts ~deps ~stats:bb ~cuts:true g cfg
+          ~num_sms ~ii
+      with
+      | `Schedule s -> Some s
+      | `Infeasible | `Budget_exhausted -> None
+    in
+    {
+      schedule;
+      arm = (if schedule <> None then "exact" else "none");
+      arms_run = arms_run + 1;
+      bb = !bb;
+    }

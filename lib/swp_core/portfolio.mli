@@ -1,7 +1,6 @@
 (** Portfolio of schedulers raced per candidate II.
 
-    Instead of the historical "heuristic, then maybe exact" ladder, each
-    candidate II races several {e arms} in a fixed order — the three
+    Each candidate II races several {e arms} in a fixed order — the three
     {!Heuristic.strategy} packings, then (when admitted) the exact ILP
     with clique cuts and root cover-cut separation — and the first
     feasible arm wins.  Different packings fail at different IIs, so the
@@ -10,11 +9,10 @@
     candidate II, preserving the commit-prefix discipline that makes
     serial and [--jobs N] searches byte-identical.
 
-    Budgets: [tok] (the per-attempt allotment) is consulted before each
-    arm and threaded to the arms through per-arm {!Resil.Budget.sub}
-    tokens — one work unit per heuristic arm, the full branch-and-bound
-    charge stream for the exact arm — so a tight per-attempt budget cuts
-    the race short at a deterministic point.
+    Budget: the attempt's {!Resil.Budget} token, whose wall clock the
+    II search arms with the per-attempt allotment, bounds only the
+    exact arm; the heuristic arms are cheap and always run to
+    completion.
 
     Metrics ([portfolio.arm_won{arm}], [portfolio.no_arm_won],
     [portfolio.lns_improved], [portfolio.lns_improvement_pct]) are
@@ -26,17 +24,15 @@ type outcome = {
   arm : string;
       (** winning arm: ["ffd"] | ["bfd"] | ["bal"] | ["exact"], or
           ["none"] when every arm failed *)
-  tried_exact : bool;   (** the exact arm ran (win or lose) *)
   arms_run : int;       (** arms actually raced (the work-unit charge) *)
-  bb : Lp.Branch_bound.stats option;  (** exact arm's stats when it ran *)
+  bb : Lp.Branch_bound.stats option;
+      (** the exact arm's stats; [Some] exactly when it ran *)
 }
 
 val try_ii :
-  ?tok:Resil.Budget.t ->
+  ?budget:Resil.Budget.t ->
   ?allow_exact:bool ->
   ?node_budget:int ->
-  ?time_budget_s:float ->
-  ?cuts:bool ->
   insts:Instances.instance list ->
   deps:Instances.dep list ->
   Streamit.Graph.t ->
@@ -46,8 +42,9 @@ val try_ii :
   outcome
 (** Race the arms at one candidate II.  [allow_exact] (default [false])
     admits the exact ILP after every heuristic arm failed — the caller
-    gates it on problem size and bound proximity.  [cuts] (default
-    [true]) arms the exact solve with {!Ilp.cover_cuts}. *)
+    gates it on problem size and bound proximity.  The exact arm always
+    runs with {!Ilp.cover_cuts}, under [node_budget] (default 2000) and
+    [budget]. *)
 
 val record_arm : string -> feasible:bool -> unit
 (** Record a committed attempt's arm outcome (win counter per arm, loss

@@ -26,22 +26,23 @@ type data = {
           [infinity] when infeasible *)
 }
 
-val default_reg_options : int list
-val default_thread_options : int list
+val reg_options : int list
+(** The register caps every profile sweeps: [[16; 20; 32; 64]]. *)
+
+val thread_options : int list
+(** The thread counts every profile sweeps: [[128; 256; 384; 512]]. *)
 
 val layout_for : Gpusim.Arch.t -> mode -> Streamit.Graph.node -> threads:int -> Gpusim.Timing.layout
 (** The buffer layout a node uses under the given compilation mode. *)
 
 val run :
-  ?reg_options:int list ->
-  ?thread_options:int list ->
   ?numfirings:int ->
   ?budget:Resil.Budget.t ->
   Gpusim.Arch.t ->
   Streamit.Graph.t ->
   mode:mode ->
   data
-(** Memoized on [(arch, graph, mode, options)] — profiling is
+(** Memoized on [(arch, graph, mode, numfirings)] — profiling is
     deterministic and the filter IR is pure data, so repeated compiles of
     the same graph (per scheme, per SM count) reuse one profile.  The
     cache is domain-safe, and an uncached sweep fans the per-filter

@@ -95,7 +95,6 @@ let key_tests =
             ( "scheme",
               { opts with Cache.Key.scheme = Swp_core.Compile.Swp_non_coalesced }
             );
-            ("portfolio", { opts with Cache.Key.portfolio = Some false });
             ("lns_rounds", { opts with Cache.Key.lns_rounds = Some 0 });
             ("target", { opts with Cache.Key.target = Kir.Ir.Wgsl });
           ]

@@ -127,6 +127,36 @@ let deadline_tests =
             | Ok c ->
               Alcotest.(check bool) "degraded" true
                 (c.Swp_core.Compile.quality = Swp_core.Compile.Degraded)));
+    t "a wall-capped exact attempt is logged as a budget hit" (fun () ->
+        (* One hour per clock read spends each attempt's 1 s allotment
+           before its exact arm takes a step, so every attempt that
+           tried the exact ILP was cut by the cap.  There is no
+           search-wide limit, so the heuristic arms still find a
+           schedule and nothing degrades. *)
+        Resil.Clock.with_source
+          (Resil.Clock.ticker ~t0:0.0 ~step:3600.0 ())
+          (fun () ->
+            let g = Streamit.Flatten.flatten (Benchmarks.Bitonic.stream ()) in
+            match Swp_core.Compile.compile ~num_sms:2 ~coarsening:8 g with
+            | Error m -> Alcotest.fail m
+            | Ok c ->
+              Alcotest.(check bool) "not degraded" true
+                (c.Swp_core.Compile.quality <> Swp_core.Compile.Degraded);
+              let exact =
+                List.filter
+                  (fun (a : Swp_core.Ii_search.attempt) ->
+                    a.Swp_core.Ii_search.tried_exact)
+                  c.Swp_core.Compile.search_stats.Swp_core.Ii_search
+                    .attempt_log
+              in
+              Alcotest.(check bool) "some attempt tried the exact ILP" true
+                (exact <> []);
+              List.iter
+                (fun (a : Swp_core.Ii_search.attempt) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "budget_hit at II=%d" a.Swp_core.Ii_search.ii)
+                    true a.Swp_core.Ii_search.budget_hit)
+                exact));
   ]
 
 let suite = clock_tests @ budget_tests @ deadline_tests
