@@ -333,14 +333,11 @@ let run_phase ?budget t ~max_col =
   let bland_noted = ref false in
   let rec loop () =
     if !pivots > max_pivots then raise Pivot_limit;
-    (* Work-unit exhaustion is checked every pivot (an int compare);
-       the token's wall clock only every 16th. *)
+    (* The token is checked before every pivot: its work cap is an int
+       compare, and its wall clock is read only when a deadline is armed
+       (microseconds against a rational pivot's milliseconds). *)
     (match budget with
-    | Some b ->
-      if
-        Resil.Budget.over_work b
-        || (!pivots land 15 = 0 && Resil.Budget.over_wall b)
-      then raise Pivot_limit
+    | Some b -> if Resil.Budget.over b then raise Pivot_limit
     | None -> ());
     let use_bland = !pivots > bland_after in
     if use_bland && not !bland_noted then begin
@@ -598,11 +595,7 @@ module Dense_core = struct
     let rec loop () =
       if !pivots > max_pivots then raise Pivot_limit;
       (match budget with
-      | Some b ->
-        if
-          Resil.Budget.over_work b
-          || (!pivots land 15 = 0 && Resil.Budget.over_wall b)
-        then raise Pivot_limit
+      | Some b -> if Resil.Budget.over b then raise Pivot_limit
       | None -> ());
       let use_bland = !pivots > bland_after in
       if use_bland && not !bland_noted then begin

@@ -36,9 +36,9 @@ val solve_with_bounds :
     branch-and-bound to impose branching decisions without mutating the
     problem).  Arrays are indexed by variable id and must cover every
     variable.  [budget], when given, is the solve's only limit besides
-    the hard pivot cap: it is charged one work unit per pivot, its work
-    cap is checked every pivot and its wall-clock deadline (if armed)
-    every 16th, and an exhausted token aborts with
+    the hard pivot cap: it is charged one work unit per pivot, both its
+    work cap and its wall-clock deadline (if armed) are checked before
+    every pivot, and an exhausted token aborts with
     [Budget_exhausted None] — work-unit exhaustion is deterministic in
     the pivot sequence alone.  [stats], when given, is accumulated
     with the solve's pivot/fill statistics whatever the outcome (see

@@ -67,6 +67,45 @@ let pack ~strategy ~delays ~num_sms ~ii =
     sorted;
   if !ok then Some sm_of else None
 
+(* Strongly connected components of the successor lists (Tarjan), in
+   topological order: every edge between two components runs from an
+   earlier one to a later one. *)
+let sccs (succ : (int * int) list array) =
+  let n = Array.length succ in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let stack = ref [] and next = ref 0 and out = ref [] in
+  let rec visit v =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack := v :: !stack;
+    on_stack.(v) <- true;
+    List.iter
+      (fun (t, _) ->
+        if index.(t) < 0 then begin
+          visit t;
+          low.(v) <- min low.(v) low.(t)
+        end
+        else if on_stack.(t) then low.(v) <- min low.(v) index.(t))
+      succ.(v);
+    if low.(v) = index.(v) then begin
+      let rec pop acc =
+        match !stack with
+        | w :: rest ->
+          stack := rest;
+          on_stack.(w) <- false;
+          if w = v then w :: acc else pop (w :: acc)
+        | [] -> acc
+      in
+      out := pop [] :: !out
+    end
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then visit v
+  done;
+  !out
+
 (* --- phase 2: longest-path scheduling of A = T*f + o --- *)
 (* Difference constraints:
    same SM : A_dst >= A_src + T*jlag + d_src
@@ -89,31 +128,92 @@ let place ~insts ~deps ~idx g (cfg : Select.config) ~num_sms ~ii ~sm_of =
   let feasible = ref true in
   (* a self-dependence with positive weight can never be satisfied *)
   List.iter (fun (s, t, w) -> if s = t && w > 0 then feasible := false) edges;
-  let changed = ref true in
-  (* Longest-path relaxation combined with wrap-around repair.  Each
-     repair only increases some A by < T, and A values are bounded by
-     (n+2)*T in any sensible schedule; bail out beyond that. *)
+  (* The schedule is the least A >= 0 that satisfies every edge and keeps
+     every o + d within the II.  Raising A along an edge and repairing a
+     wrapped offset up to the next multiple of T are both monotone, so
+     any order of applying them climbs to that least solution and never
+     past it.  The packing is infeasible when no solution exists or an A
+     of the least one exceeds (n+3)*T, the most any sensible schedule
+     needs.
+
+     An infeasible packing climbs through a great many repairs around
+     one dependence cycle, so the climb is confined to it: strongly
+     connected components are settled one at a time in topological
+     order, each by a worklist over its own edges, and only a settled
+     component's A values flow downstream.  Two facts end a hopeless
+     climb early, neither of which can reject a packing that has a
+     solution within the bound:
+     - Shifting a solution down by T keeps it a solution, so a
+       component that has one has one in which some A lies less than T
+       above its entry value, and every other A at most the component's
+       summed negative edge weights above that one (a path back to it
+       bounds it).  The least solution lies below, so an A at [limit] or
+       beyond means there is none.
+     - [len] counts the edges behind an A since its last repair or the
+       component's entry; as many as the component has instances repeat
+       one whose A strictly grew, so the edges close a positive cycle. *)
   let bound = (n + 3) * ii in
-  while !changed && !feasible do
-    changed := false;
-    List.iter
-      (fun (s, t, w) ->
-        if s <> t && a.(s) + w > a.(t) then begin
-          a.(t) <- a.(s) + w;
-          if a.(t) > bound then feasible := false else changed := true
-        end)
-      edges;
-    if not !changed then
-      (* wrap-around repair: o + d must stay within the II *)
-      Array.iteri
-        (fun i ai ->
-          let o = ai mod ii in
-          if o + delay_of insts.(i) >= ii then begin
-            a.(i) <- ((ai / ii) + 1) * ii;
-            if a.(i) > bound then feasible := false else changed := true
-          end)
-        a
-  done;
+  let succ = Array.make n [] in
+  List.iter
+    (fun (s, t, w) -> if s <> t then succ.(s) <- (t, w) :: succ.(s))
+    (List.rev edges);
+  let comps = sccs succ in
+  let comp = Array.make n 0 in
+  List.iteri (fun c members -> List.iter (fun v -> comp.(v) <- c) members) comps;
+  let repair t v =
+    if (v mod ii) + delay_of insts.(t) >= ii then ((v / ii) + 1) * ii else v
+  in
+  let len = Array.make n 0 and queued = Array.make n false in
+  let work = Queue.create () in
+  List.iteri
+    (fun c members ->
+      if !feasible then begin
+        let size = List.length members in
+        let fold f = List.fold_left f 0 members in
+        let limit =
+          fold (fun m v -> max m a.(v))
+          + ii
+          + fold (fun acc s ->
+                List.fold_left
+                  (fun acc (t, w) -> if comp.(t) = c && w < 0 then acc - w else acc)
+                  acc succ.(s))
+        in
+        List.iter
+          (fun v ->
+            queued.(v) <- true;
+            Queue.add v work)
+          members;
+        while !feasible && not (Queue.is_empty work) do
+          let s = Queue.pop work in
+          queued.(s) <- false;
+          List.iter
+            (fun (t, w) ->
+              let v = a.(s) + w in
+              let r = repair t v in
+              if !feasible && comp.(t) = c && r > a.(t) then begin
+                a.(t) <- r;
+                len.(t) <- (if r > v then 0 else len.(s) + 1);
+                if r > bound || r >= limit || len.(t) >= size then
+                  feasible := false
+                else if not queued.(t) then begin
+                  queued.(t) <- true;
+                  Queue.add t work
+                end
+              end)
+            succ.(s)
+        done;
+        Queue.clear work;
+        (* settled: its A values are entry values of later components *)
+        List.iter
+          (fun s ->
+            List.iter
+              (fun (t, w) ->
+                if comp.(t) <> c then a.(t) <- max a.(t) (repair t (a.(s) + w)))
+              succ.(s))
+          members
+      end)
+    comps;
+  if Array.exists (fun v -> v > bound) a then feasible := false;
   if not !feasible then `Infeasible
   else begin
     let entries =

@@ -10,9 +10,11 @@
       per-SM profiled load fits within the II satisfies constraint (2);
     + {b scheduling}: with assignments fixed, the dependence system (8)
       becomes difference constraints on [A = T*f + o]; solved by
-      longest-path relaxation, then instances violating the wrap
-      constraint (4) are pushed to the next II boundary and relaxation
-      repeats until a fixpoint.
+      longest-path relaxation in which instances violating the wrap
+      constraint (4) are pushed to the next II boundary, until the
+      least fixpoint.  Dependence cycles are settled one at a time, and
+      a cycle that provably has no fixpoint is refuted without climbing
+      to the [(n+3)*T] bound.
 
     The phases are exposed separately ({!pack} / {!place}) so the
     portfolio search can race packings and the LNS refinement pass can

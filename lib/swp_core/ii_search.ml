@@ -10,7 +10,7 @@ type budget = {
 let default_budget =
   {
     exact_time_s = Some 20.0;
-    auto_time_s = Some 1.0;
+    auto_time_s = None;
     total_work = None;
     wall_clock_s = None;
   }
@@ -116,6 +116,26 @@ let lp_bound_max_ii = 256
    cycle), and give up beyond 5x the bound. *)
 let relax_step = 0.005
 let max_relax = 4.0
+
+(* The [Auto] exact arm is admitted from a cost predicted before any
+   pivot, and bounded by work units rather than wall time, so whether
+   it runs and where it stops depend on the input alone.  The predicted
+   cost is rows x nonzeros x coefficient bit-width of the candidate's
+   ILP: the pivot count grows with the rows, and each rational pivot's
+   cost with the entries it touches and the bit-width they grow from.
+   Calibration, the registry at 2-16 SMs and generated streams at 2, 4
+   and 16 SMs under the former 1 s cap: no exact attempt found a
+   schedule; two settled (refuted their II), predicting 53k (893 work
+   units) and 140k (1,426 units); every attempt the cap cut predicted
+   106k or more, the registry's 3.4M or more.  The cap admits the
+   smaller refutation and nothing that was cut; the work cap leaves
+   several times its spend. *)
+let exact_cost_cap = 65_536
+let exact_work_cap = 5_000
+
+let exact_cost ~insts ~deps cfg ~num_sms ~ii =
+  let s = Ilp.size ~cuts:true ~insts ~deps cfg ~num_sms ~ii in
+  s.Ilp.rows * s.Ilp.nonzeros * s.Ilp.coef_bits
 
 let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
     g cfg ~num_sms =
@@ -262,23 +282,23 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
     Portfolio.record_arm a.arm ~feasible:a.feasible;
     Obs.Metrics.observe h_attempt_s a.solve_time_s
   in
-  let exact_gate_ok = Instances.num_instances cfg * num_sms <= 96 in
   let try_at ii =
     Obs.Trace.with_span "ii_search.attempt"
       ~attrs:[ ("ii", Obs.Trace.Int ii) ]
     @@ fun () ->
     let t0 = Resil.Clock.now () in
     (* The attempt's one solve limit: a fresh root token (so probes stay
-       pure functions of their candidate II under parallel speculation)
-       whose wall clock is the mode's per-attempt allotment, armed now. *)
+       pure functions of their candidate II under parallel speculation).
+       [Exact] arms the paper's per-attempt wall clock; [Auto] caps work
+       units, plus a wall clock only when [auto_time_s] opts into one. *)
     let tok =
-      Resil.Budget.create ~label:"ii_search.attempt"
-        ?wall_s:
-          (match solver with
-          | Exact _ -> budget.exact_time_s
-          | Auto _ -> budget.auto_time_s
-          | Heuristic -> None)
-        ()
+      let label = "ii_search.attempt" in
+      match solver with
+      | Exact _ -> Resil.Budget.create ~label ?wall_s:budget.exact_time_s ()
+      | Auto _ ->
+        Resil.Budget.create ~label ~work:exact_work_cap
+          ?wall_s:budget.auto_time_s ()
+      | Heuristic -> Resil.Budget.create ~label ()
     in
     (* Fault-injection point: an armed ["ii_search.attempt"] fault turns
        this probe into a budget-exhausted infeasible attempt, exercising
@@ -322,12 +342,12 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
           | `Infeasible | `Budget_exhausted -> (None, "none", 1, !bb))
         | Heuristic -> race false
         | Auto nb ->
-          (* The exact arm is only admitted on problems small enough for
-             branch-and-bound to stand a chance within its budget (the
-             assignment variables alone number instances x SMs) and near
-             the bound, where the packing granularity is the limiting
-             factor. *)
-          race ~node_budget:nb (exact_gate_ok && near_bound ii)
+          (* The exact arm is only admitted near the bound, where the
+             packing granularity is the limiting factor, and on problems
+             whose predicted cost lets it settle within its work cap. *)
+          race ~node_budget:nb
+            (near_bound ii
+            && exact_cost ~insts ~deps cfg ~num_sms ~ii <= exact_cost_cap)
     in
     let tried_exact =
       match solver with
@@ -335,7 +355,7 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
       | Heuristic | Auto _ -> bb <> None
     in
     (* Only an exact solve consults the token, so only a failed one can
-       have been cut short by its wall cap. *)
+       have been cut short by its work or wall cap. *)
     let budget_hit =
       injected || (res = None && tried_exact && Resil.Budget.over tok)
     in

@@ -17,10 +17,14 @@
 
     A {!budget} bounds the search along two axes.  {e Per-attempt}: each
     candidate II gets one fresh {!Resil.Budget} token, armed at attempt
-    start with the mode's wall-clock allotment ([exact_time_s] — the
-    paper's 20 s CPLEX allotment — or [auto_time_s]) and passed to the
-    exact solve as its only limit besides the node budget; the search
-    then relaxes and retries, so this shapes quality, not termination.
+    start and passed to the exact solve as its only limit besides the
+    node budget; the search then relaxes and retries, so this shapes
+    quality, not termination.  In [Exact] mode the token carries the
+    paper's 20 s CPLEX allotment ([exact_time_s]).  In [Auto] mode the
+    exact arm runs only where {!exact_cost} predicts at most
+    {!exact_cost_cap}, and its token caps work at {!exact_work_cap}
+    units; [auto_time_s] adds an opt-in wall clock on top and is [None]
+    by default, so a default compile reads no clock to decide anything.
     {e Search-wide} limits ([total_work], [wall_clock_s]) stop the whole
     search with a structured {!error} that the compiler turns into a
     degraded-but-valid schedule.
@@ -29,8 +33,9 @@
     each, plus one per arm raced) are deterministic: the ledger is
     charged only when an attempt {e commits}, in candidate order, so a
     budgeted parallel search cuts off at exactly the attempt the serial
-    search would.  Wall-clock limits are nondeterministic: an attempt
-    they cut short is logged with [budget_hit]. *)
+    search would.  Wall-clock limits are nondeterministic.  An exact
+    attempt that either kind of cap cuts short is logged with
+    [budget_hit]. *)
 
 type solver =
   | Exact of int
@@ -38,17 +43,18 @@ type solver =
           from the heuristic schedule whenever one exists at that II *)
   | Heuristic
   | Auto of int
-      (** heuristic first; when it fails at a candidate II and the
-          problem is small enough for branch-and-bound (at most 96
-          assignment variables), try the exact ILP with the given budget
-          before relaxing *)
+      (** heuristic first; when it fails at a candidate II near the
+          bound and {!exact_cost} predicts at most {!exact_cost_cap},
+          try the exact ILP with the given node budget (and at most
+          {!exact_work_cap} work units) before relaxing *)
 
 type budget = {
   exact_time_s : float option;
       (** wall-clock seconds per [Exact] attempt — the paper's 20 s
           CPLEX allotment *)
   auto_time_s : float option;
-      (** wall-clock seconds per [Auto] attempt (bounds its exact arm) *)
+      (** opt-in wall-clock seconds per [Auto] attempt, an outer guard
+          on its exact arm on top of {!exact_work_cap} *)
   total_work : int option;
       (** work-unit ledger for the whole search; exhaustion stops it
           with reason [`Budget].  Deterministic *)
@@ -58,9 +64,30 @@ type budget = {
 }
 
 val default_budget : budget
-(** [{ exact_time_s = Some 20.0; auto_time_s = Some 1.0;
-      total_work = None; wall_clock_s = None }] — the paper-derived
-    per-attempt allotments, and no search-wide limit. *)
+(** [{ exact_time_s = Some 20.0; auto_time_s = None;
+      total_work = None; wall_clock_s = None }] — the paper's
+    per-attempt allotment for [Exact], no wall clock in [Auto] (its
+    exact arm is bounded by {!exact_work_cap} alone), and no
+    search-wide limit. *)
+
+val exact_cost :
+  insts:Instances.instance list ->
+  deps:Instances.dep list ->
+  Select.config ->
+  num_sms:int ->
+  ii:int ->
+  int
+(** Predicted cost of the [Auto] exact arm at [ii], from the shape of
+    the ILP it would solve ({!Ilp.size} with cuts): rows x nonzeros x
+    coefficient bit-width.  A pure function of the graph, configuration,
+    SM count and II, computed before any pivot. *)
+
+val exact_cost_cap : int
+(** The largest {!exact_cost} at which [Auto] runs its exact arm. *)
+
+val exact_work_cap : int
+(** The work units (simplex pivots + branch-and-bound nodes) an
+    admitted [Auto] exact arm may spend at one candidate II. *)
 
 type attempt = {
   ii : int;                (** candidate II of this attempt *)
@@ -76,8 +103,8 @@ type attempt = {
   work_units : int;        (** [lp_pivots + bb_nodes + arms raced] (at
                                least one), the ledger charge *)
   budget_hit : bool;       (** an exact solve failed with its attempt's
-                               wall cap spent (or a fault was injected
-                               here) *)
+                               work or wall cap spent (or a fault was
+                               injected here) *)
 }
 
 type stats = {
@@ -137,8 +164,8 @@ val search :
     [budget = default_budget].
 
     Each candidate II races the {!Heuristic.all_strategies} packings
-    (and, in [Auto] mode near the bound on small problems, the cut-armed
-    exact ILP) — see {!Portfolio.try_ii}; [Exact] mode warm-starts the
+    (and, in [Auto] mode near the bound on problems within
+    {!exact_cost_cap}, the cut-armed exact ILP) — see {!Portfolio.try_ii}; [Exact] mode warm-starts the
     ILP from the first-fit packing instead.  [lns_rounds] bounds the
     {!Lns.refine} probes run below the first feasible candidate ([0]
     disables refinement; [Exact] mode never refines).  Both preserve

@@ -11,8 +11,9 @@
     - the two dependence systems (8).
 
     The problem is a pure feasibility ILP (constant objective), solved by
-    {!Lp.Branch_bound} — our CPLEX stand-in — under a node budget and a
-    wall-clock token that mirror the paper's 20-second allotment. *)
+    {!Lp.Branch_bound} — our CPLEX stand-in — under a node budget and
+    the II search's per-attempt {!Resil.Budget} token (the paper's
+    20-second allotment in [Exact] mode, a work cap in [Auto]). *)
 
 type var_map = {
   w : (int * int * int, int) Hashtbl.t;  (** (node, k, sm) -> variable id *)
@@ -40,6 +41,26 @@ val build :
     longer than [ii/2] per SM) — valid for every integral solution, they
     tighten the LP relaxation for the cutting-plane lower bound and the
     exact portfolio arm without changing the paper's base system. *)
+
+type size = {
+  rows : int;       (** constraints *)
+  nonzeros : int;   (** nonzero constraint coefficients *)
+  coef_bits : int;  (** bit length of the largest coefficient or
+                        right-hand side magnitude *)
+}
+
+val size :
+  ?cuts:bool ->
+  insts:Instances.instance list ->
+  deps:Instances.dep list ->
+  Select.config ->
+  num_sms:int ->
+  ii:int ->
+  size
+(** The shape of the problem [build ?cuts] returns for the same
+    arguments, counted in time linear in the instance and dependence
+    lists without allocating it.  The II search predicts an exact
+    attempt's cost from it before paying for a pivot. *)
 
 val cover_cuts :
   var_map ->
@@ -81,8 +102,8 @@ val solve :
 
     [budget], when given, is the solve's {!Resil.Budget} token, shared
     by branch-and-bound and every LP relaxation (one work unit per node
-    and one per simplex pivot); the II search arms its wall clock with
-    the per-attempt allotment.  An exhausted token yields
+    and one per simplex pivot); the II search arms it with the
+    per-attempt allotment.  An exhausted token yields
     [`Budget_exhausted], deterministically when the token has no
     wall-clock deadline.
 

@@ -2,7 +2,7 @@
    (gated) exact ILP raced as budgeted arms.  The racing order is fixed
    — ffd, bfd, bal, then exact — and the first feasible arm wins, so
    the outcome is a pure function of the candidate II (and, for the
-   exact arm, of where the attempt's wall cap cuts it): speculative
+   exact arm, of where the attempt's token cuts it): speculative
    parallel probing commits exactly what the serial race would have. *)
 
 type outcome = {

@@ -9,10 +9,10 @@
     candidate II, preserving the commit-prefix discipline that makes
     serial and [--jobs N] searches byte-identical.
 
-    Budget: the attempt's {!Resil.Budget} token, whose wall clock the
-    II search arms with the per-attempt allotment, bounds only the
-    exact arm; the heuristic arms are cheap and always run to
-    completion.
+    Budget: the attempt's {!Resil.Budget} token, which the II search
+    arms with the per-attempt allotment (a work cap in [Auto] mode),
+    bounds only the exact arm; the heuristic arms are cheap and always
+    run to completion.
 
     Metrics ([portfolio.arm_won{arm}], [portfolio.no_arm_won],
     [portfolio.lns_improved], [portfolio.lns_improvement_pct]) are

@@ -14,6 +14,11 @@ type data = {
 let reg_options = [ 16; 20; 32; 64 ]
 let thread_options = [ 128; 256; 384; 512 ]
 
+(* Every profile runs this many single-threaded firings: a common
+   multiple of every thread count, large enough to amortize the kernel
+   launch (Sec. IV-A). *)
+let numfirings = 16 * List.fold_left Numeric.Intmath.lcm 1 thread_options
+
 let layout_for arch mode node ~threads =
   match mode with
   | Coalesced -> Timing.Shuffled
@@ -21,7 +26,7 @@ let layout_for arch mode node ~threads =
     if Timing.shared_fits arch node ~threads then Timing.Shared_staged
     else Timing.Natural
 
-(* Profiling is deterministic in (arch, graph, mode, numfirings), and the II
+(* Profiling is deterministic in (arch, graph, mode), and the II
    search and benchmark drivers profile the same graph repeatedly — once
    per scheme, per SM count, per solver comparison.  The filter IR is pure
    data (no closures), so structural keys are sound; memoize.  The cache
@@ -32,21 +37,20 @@ let layout_for arch mode node ~threads =
    concurrently), so every access goes through [cache_m].  Two domains
    missing on the same key may both profile it; the second insert wins —
    both computed identical data, so nothing observable changes. *)
-let cache : (Gpusim.Arch.t * Streamit.Graph.t * mode * int, data) Hashtbl.t =
+let cache : (Gpusim.Arch.t * Streamit.Graph.t * mode, data) Hashtbl.t =
   Hashtbl.create 16
 
 let cache_m = Mutex.create ()
 
 (* Per-node memo underneath the whole-graph cache: a node's sweep is a
-   pure function of (arch, node kind, mode, numfirings) alone
+   pure function of (arch, node kind, mode) alone
    — no cross-node coupling — so a graph that differs from previously
    profiled ones in a single filter re-simulates only that filter.
    Keys hold the alpha-canonical node kind, making the memo
    name-irrelevant: renaming a filter or its locals still hits.  This
    is the incremental-recompile workhorse behind the serve cache. *)
 let node_cache :
-    ( Gpusim.Arch.t * Streamit.Graph.node_kind * mode * int,
-      float array array )
+    (Gpusim.Arch.t * Streamit.Graph.node_kind * mode, float array array)
     Hashtbl.t =
   Hashtbl.create 64
 
@@ -87,15 +91,9 @@ let memo_stats () =
     node_entries = entries;
   }
 
-let rec run ?(numfirings = 0) ?budget arch graph ~mode =
+let rec run ?budget arch graph ~mode =
   Option.iter Resil.Budget.check budget;
-  (* numfirings must be a common multiple of every thread count and large
-     enough to amortize the kernel launch (Sec. IV-A). *)
-  let numfirings =
-    if numfirings > 0 then numfirings
-    else 16 * List.fold_left Numeric.Intmath.lcm 1 thread_options
-  in
-  let key = (arch, graph, mode, numfirings) in
+  let key = (arch, graph, mode) in
   Obs.Trace.with_span "profile"
     ~attrs:[ ("nodes", Obs.Trace.Int (Streamit.Graph.num_nodes graph)) ]
     (fun () ->
@@ -126,7 +124,7 @@ let rec run ?(numfirings = 0) ?budget arch graph ~mode =
         Obs.Metrics.inc m_cache_misses;
         Obs.Trace.add_attr "cache" (Obs.Trace.Str "miss");
         let d =
-          run_uncached ?budget arch graph ~mode ~numfirings
+          run_uncached ?budget arch graph ~mode
         in
         Mutex.lock cache_m;
         if Hashtbl.length cache >= cache_bound then begin
@@ -137,7 +135,7 @@ let rec run ?(numfirings = 0) ?budget arch graph ~mode =
         Mutex.unlock cache_m;
         d)
 
-and run_uncached ?budget arch graph ~mode ~numfirings =
+and run_uncached ?budget arch graph ~mode =
   let n = Streamit.Graph.num_nodes graph in
   (* The Fig. 6 sweep is embarrassingly parallel: each filter's 16
      (regs x threads) simulated timings are independent of every other
@@ -149,7 +147,7 @@ and run_uncached ?budget arch graph ~mode ~numfirings =
        unwinds here (the pool join re-raises the exhaustion). *)
     Option.iter Resil.Budget.check budget;
     let node = Streamit.Graph.node graph v in
-    let nkey = (arch, canonical_kind node.Streamit.Graph.kind, mode, numfirings) in
+    let nkey = (arch, canonical_kind node.Streamit.Graph.kind, mode) in
     let memoized =
       Mutex.lock node_cache_m;
       let c = Hashtbl.find_opt node_cache nkey in

@@ -36,13 +36,12 @@ val layout_for : Gpusim.Arch.t -> mode -> Streamit.Graph.node -> threads:int -> 
 (** The buffer layout a node uses under the given compilation mode. *)
 
 val run :
-  ?numfirings:int ->
   ?budget:Resil.Budget.t ->
   Gpusim.Arch.t ->
   Streamit.Graph.t ->
   mode:mode ->
   data
-(** Memoized on [(arch, graph, mode, numfirings)] — profiling is
+(** Memoized on [(arch, graph, mode)] — profiling is
     deterministic and the filter IR is pure data, so repeated compiles of
     the same graph (per scheme, per SM count) reuse one profile.  The
     cache is domain-safe, and an uncached sweep fans the per-filter
@@ -51,7 +50,8 @@ val run :
     at entry and before each filter's sweep (an exhausted token raises
     {!Resil.Budget.Exhausted}) and, on a cache miss, charged one work
     unit per simulated [(node, regs, threads)] cell for stage
-    accounting; a cache hit charges nothing. *)
+    accounting; a cache hit charges the same amount, so the ledger does
+    not depend on cache warmth. *)
 
 val clear_cache : unit -> unit
 (** Drop every memoized profile — the whole-graph cache and the

@@ -128,26 +128,32 @@ let deadline_tests =
               Alcotest.(check bool) "degraded" true
                 (c.Swp_core.Compile.quality = Swp_core.Compile.Degraded)));
     t "a wall-capped exact attempt is logged as a budget hit" (fun () ->
-        (* One hour per clock read spends each attempt's 1 s allotment
-           before its exact arm takes a step, so every attempt that
-           tried the exact ILP was cut by the cap.  There is no
-           search-wide limit, so the heuristic arms still find a
-           schedule and nothing degrades. *)
+        (* The default search reads no clock, so the wall-cap path is
+           reached by opting into [auto_time_s] on an instance whose
+           exact arm the cost gate admits (generated stream 50 at 2 SMs).
+           One hour per clock read spends the 1 s allotment before the
+           arm takes a step, so every attempt that tried the exact ILP
+           was cut by the cap.  There is no search-wide limit, so the
+           heuristic arms still find a schedule. *)
+        let g = Streamit.Flatten.flatten (Check.Gen.stream ~seed:50 ()) in
+        let c = Result.get_ok (Swp_core.Compile.compile ~num_sms:2 g) in
+        let budget =
+          { Swp_core.Ii_search.default_budget with auto_time_s = Some 1.0 }
+        in
         Resil.Clock.with_source
           (Resil.Clock.ticker ~t0:0.0 ~step:3600.0 ())
           (fun () ->
-            let g = Streamit.Flatten.flatten (Benchmarks.Bitonic.stream ()) in
-            match Swp_core.Compile.compile ~num_sms:2 ~coarsening:8 g with
-            | Error m -> Alcotest.fail m
-            | Ok c ->
-              Alcotest.(check bool) "not degraded" true
-                (c.Swp_core.Compile.quality <> Swp_core.Compile.Degraded);
+            match
+              Swp_core.Ii_search.search ~budget g c.Swp_core.Compile.config
+                ~num_sms:2
+            with
+            | Error e -> Alcotest.fail e.Swp_core.Ii_search.message
+            | Ok (_, st) ->
               let exact =
                 List.filter
                   (fun (a : Swp_core.Ii_search.attempt) ->
                     a.Swp_core.Ii_search.tried_exact)
-                  c.Swp_core.Compile.search_stats.Swp_core.Ii_search
-                    .attempt_log
+                  st.Swp_core.Ii_search.attempt_log
               in
               Alcotest.(check bool) "some attempt tried the exact ILP" true
                 (exact <> []);
@@ -159,4 +165,39 @@ let deadline_tests =
                 exact));
   ]
 
-let suite = clock_tests @ budget_tests @ deadline_tests
+(* A default compile reads the clock only to time itself: under a clock
+   that jumps an hour per read, every registry program at every SM count
+   and coarsening factor commits the same search and the same schedule
+   as under the real clock. *)
+let host_independence_tests =
+  [
+    t "default compiles do not depend on the clock" (fun () ->
+        let compile g ~num_sms ~coarsening =
+          match Swp_core.Compile.compile ~num_sms ~coarsening g with
+          | Error m -> Alcotest.fail m
+          | Ok c -> Swp_core.Report.schedule_signature c
+        in
+        List.iter
+          (fun (e : Benchmarks.Registry.entry) ->
+            let g = Streamit.Flatten.flatten (e.Benchmarks.Registry.stream ()) in
+            List.iter
+              (fun num_sms ->
+                List.iter
+                  (fun coarsening ->
+                    let real = compile g ~num_sms ~coarsening in
+                    let jumping =
+                      Resil.Clock.with_source
+                        (Resil.Clock.ticker ~t0:0.0 ~step:3600.0 ())
+                        (fun () -> compile g ~num_sms ~coarsening)
+                    in
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s at %d SMs, coarsening %d"
+                         e.Benchmarks.Registry.name num_sms coarsening)
+                      real jumping)
+                  [ 1; 8 ])
+              [ 2; 4; 6; 8; 16 ])
+          Benchmarks.Registry.all);
+  ]
+
+let suite =
+  clock_tests @ budget_tests @ deadline_tests @ host_independence_tests

@@ -228,6 +228,49 @@ let armless_attempts_ffd_infeasible () =
     Alcotest.failf "only %d/%d seeds compiled: generator drifted?" !checked
       (List.length seeds)
 
+(* Achieved II of every registry program at 2-16 SMs, recorded before
+   the Auto exact arm was gated on predicted cost.  Coarsening leaves the
+   II alone, so each entry covers both factors checked.  No point may
+   rise. *)
+let grid_ii =
+  [
+    ("Bitonic", [ (2, 43068); (4, 22622); (6, 15226); (8, 12182); (16, 9011) ]);
+    ( "BitonicRec",
+      [ (2, 36316); (4, 18158); (6, 12270); (8, 9104); (16, 4808) ] );
+    ( "DCT",
+      [ (2, 433490); (4, 217388); (6, 148374); (8, 115862); (16, 66404) ] );
+    ( "DES",
+      [ (2, 589794); (4, 297546); (6, 199362); (8, 148766); (16, 77782) ] );
+    ( "FFT",
+      [ (2, 1139727); (4, 569944); (6, 395415); (8, 291478); (16, 162404) ] );
+    ( "Filterbank",
+      [ (2, 1134168); (4, 567084); (6, 378644); (8, 283542); (16, 142126) ] );
+    ( "FMRadio",
+      [ (2, 198932); (4, 100908); (6, 67272); (8, 50454); (16, 33636) ] );
+    ( "MatrixMult",
+      [ (2, 602732); (4, 301572); (6, 224819); (8, 224819); (16, 224819) ] );
+  ]
+
+let grid_ii_never_rises () =
+  List.iter
+    (fun (name, points) ->
+      let e = Option.get (Benchmarks.Registry.find name) in
+      let g = Streamit.Flatten.flatten (e.Benchmarks.Registry.stream ()) in
+      List.iter
+        (fun (num_sms, pinned) ->
+          List.iter
+            (fun coarsening ->
+              match Swp_core.Compile.compile ~num_sms ~coarsening g with
+              | Error m -> Alcotest.failf "%s@%d: %s" name num_sms m
+              | Ok c ->
+                let ii = c.Swp_core.Compile.schedule.Swp_core.Swp_schedule.ii in
+                if ii > pinned then
+                  Alcotest.failf "%s at %d SMs, coarsening %d: II %d > %d" name
+                    num_sms coarsening ii pinned)
+            [ 1; 8 ])
+        points)
+    grid_ii
+
 let suite =
   [
     t "bound <= achieved II on generated streams" bound_le_achieved;
@@ -236,4 +279,5 @@ let suite =
     t "refined schedules validate + invariants hold" lns_refined_validates;
     t "arm-less attempts are first-fit infeasible"
       armless_attempts_ffd_infeasible;
+    t "registry II at 2-16 SMs never rises" grid_ii_never_rises;
   ]
