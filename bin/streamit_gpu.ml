@@ -1045,12 +1045,35 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ seeds_arg $ base_seed_arg $ keep_arg $ metrics_arg)
 
+(* cmdliner reads a bare negative number such as "-1" as an option
+   name, so "--budget -1" would exit 124 with "unknown option '-1'".
+   Join a long option and a following negative number into
+   "--budget=-1", which reaches the option's own validation (one error
+   line, exit 1) exactly like the "=" spelling.  Tokens after "--" are
+   left alone. *)
+let join_negative_values argv =
+  let negative v =
+    String.length v > 1 && v.[0] = '-' && Float.of_string_opt v <> None
+  in
+  let long o =
+    String.length o > 2
+    && String.starts_with ~prefix:"--" o
+    && not (String.contains o '=')
+  in
+  let rec go = function
+    | "--" :: rest -> "--" :: rest
+    | o :: v :: rest when long o && negative v -> (o ^ "=" ^ v) :: go rest
+    | x :: rest -> x :: go rest
+    | [] -> []
+  in
+  Array.of_list (go (Array.to_list argv))
+
 let () =
   let doc = "StreamIt-to-GPU software-pipelining compiler (CGO 2009 reproduction)" in
   let info = Cmd.info "streamit_gpu" ~version:"1.0.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
-    (Cmd.eval'
+    (Cmd.eval' ~argv:(join_negative_values Sys.argv)
        (Cmd.group ~default info
           [
             list_cmd; info_cmd; profile_cmd; compile_cmd; emit_cmd; run_cmd;

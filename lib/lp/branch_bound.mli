@@ -4,7 +4,8 @@
     Because the paper's scheduling ILP is a *feasibility* problem (the
     objective is constant), the solver stops at the first integral solution
     when the objective is constant; otherwise it keeps the best incumbent
-    and prunes on the LP bound.
+    and prunes on the LP bound.  The problem is solved as given: there is
+    no cut loop, and the solver never adds rows to it.
 
     A solve is bounded by [node_budget] (LP relaxations solved) and by
     one optional {!Resil.Budget} token; the caller arms the token's
@@ -19,7 +20,6 @@ type stats = {
   max_depth : int;
   lp_pivots : int;        (** simplex pivots summed over every relaxation *)
   seeded : bool;          (** a warm-start incumbent was accepted *)
-  cuts_added : int;       (** cutting planes added by the root cut loop *)
 }
 
 val solve :
@@ -27,8 +27,6 @@ val solve :
   ?budget:Resil.Budget.t ->
   ?incumbent:(int -> Rat.t) ->
   ?use_reference_lp:bool ->
-  ?cuts:(Solution.t -> (Linexpr.t * Problem.relation * Linexpr.t) list) ->
-  ?cut_rounds:int ->
   Problem.t ->
   Solution.outcome * stats
 (** [solve p] solves the MILP.  [node_budget] defaults to [10_000].  A
@@ -52,16 +50,6 @@ val solve :
     [use_reference_lp] (default [false]) solves every relaxation with the
     dense reference simplex instead of the sparse production core — for
     benchmarking the sparse tableau against its baseline.
-
-    [cuts], when given, is a separation oracle: called with the root
-    relaxation's fractional optimum, it returns violated inequalities
-    [(lhs, rel, rhs)] that every {e integral} solution satisfies (the
-    caller's responsibility — e.g. cover cuts for knapsack rows).  They
-    are added to the problem ({e mutating it}) and the root is re-solved
-    before branching, for at most [cut_rounds] (default 8) rounds or
-    until the oracle returns no cut.  Each re-solve counts against
-    [node_budget] and the work-unit [budget] like any node, so budgeted
-    cut loops stay deterministic.
 
     The returned solution's integer variables are guaranteed integral and
     the assignment is re-verified against the problem before being

@@ -9,13 +9,14 @@
 
     Compilation is resilient by construction: given a [deadline] (wall
     clock) or [budget] (deterministic work units), the pipeline runs a
-    three-rung ladder — exact ILP, heuristic modulo scheduler, and
-    finally the guaranteed-feasible {!Fallback} scheduler — and returns
-    [Ok] with the achieved {!quality} instead of failing, unless
-    [on_budget] is [`Fail].  Work-unit budgets are deterministic: the
-    same graph under the same [budget] compiles to the byte-identical
-    artifact whatever [--jobs] is.  Wall-clock deadlines are inherently
-    nondeterministic and opt-in. *)
+    ladder — the II search (the heuristic modulo scheduler plus LNS
+    refinement by default; the exact ILP only in [Exact] mode), then the
+    guaranteed-feasible {!Fallback} scheduler — and returns [Ok] with
+    the achieved {!quality} instead of failing, unless [on_budget] is
+    [`Fail].  Work-unit budgets are deterministic: the same graph under
+    the same [budget] compiles to the byte-identical artifact whatever
+    [--jobs] is.  Wall-clock deadlines are inherently nondeterministic
+    and opt-in. *)
 
 type scheme =
   | Swp_coalesced       (** the paper's optimized scheme *)
@@ -98,7 +99,7 @@ val compile :
   Streamit.Graph.t ->
   (compiled, string) result
 (** Defaults: the GeForce 8800 GTS 512 with all 16 SMs, coarsening 1,
-    [Auto] solver, coalesced scheme, no deadline, no budget,
+    [Heuristic] solver, coalesced scheme, no deadline, no budget,
     [on_budget = `Degrade].  [solver] and [lns_rounds] pass through
     to {!Ii_search.search} (the per-candidate-II solver, and the LNS
     refinement round cap).

@@ -1,6 +1,6 @@
 (* Packing strategies for phase 1.  [First_fit] reproduces the original
    solver bit-for-bit and remains the default; the other two are the
-   extra heuristic arms of the portfolio II search — different packings
+   extra heuristic arms of the II search's race — different packings
    fail at different IIs, so racing them closes part of the exact-vs-
    heuristic quality gap at near-zero cost. *)
 type strategy = First_fit | Best_fit | Balanced

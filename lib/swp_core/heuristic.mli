@@ -17,7 +17,7 @@
       to the [(n+3)*T] bound.
 
     The phases are exposed separately ({!pack} / {!place}) so the
-    portfolio search can race packings and the LNS refinement pass can
+    II search can race packings and the LNS refinement pass can
     re-place a repaired assignment without re-packing. *)
 
 type strategy =
@@ -37,8 +37,8 @@ val strategy_name : strategy -> string
     metrics. *)
 
 val all_strategies : strategy list
-(** [[First_fit; Best_fit; Balanced]], the racing order of the
-    portfolio's heuristic arms (fixed, for determinism). *)
+(** [[First_fit; Best_fit; Balanced]], the racing order of the II
+    search's heuristic arms (fixed, for determinism). *)
 
 val pack :
   strategy:strategy ->

@@ -1,4 +1,4 @@
-type solver = Exact of int | Heuristic | Auto of int
+type solver = Exact of int | Heuristic
 
 type budget = {
   exact_time_s : float option;
@@ -117,27 +117,35 @@ let lp_bound_max_ii = 256
 let relax_step = 0.005
 let max_relax = 4.0
 
-(* The [Auto] exact arm is admitted from a cost predicted before any
-   pivot, and bounded by work units rather than wall time, so whether
-   it runs and where it stops depend on the input alone.  The predicted
-   cost is rows x nonzeros x coefficient bit-width of the candidate's
-   ILP: the pivot count grows with the rows, and each rational pivot's
-   cost with the entries it touches and the bit-width they grow from.
-   Calibration, the registry at 2-16 SMs and generated streams at 2, 4
-   and 16 SMs under the former 1 s cap: no exact attempt found a
-   schedule; two settled (refuted their II), predicting 53k (893 work
-   units) and 140k (1,426 units); every attempt the cap cut predicted
-   106k or more, the registry's 3.4M or more.  The cap admits the
-   smaller refutation and nothing that was cut; the work cap leaves
-   several times its spend. *)
-let exact_cost_cap = 65_536
-let exact_work_cap = 5_000
+(* Each candidate II races the heuristic packings in a fixed order
+   (ffd, bfd, bal) and the first feasible one wins.  Different packings
+   fail at different IIs, so the race lowers the achieved II at
+   near-zero cost, and the fixed order keeps every probe a pure function
+   of its candidate II.  Returns the schedule, the winning arm (["none"]
+   when every packing failed) and the number of arms raced. *)
+let race ~insts ~deps g cfg ~num_sms ~ii =
+  let rec go n = function
+    | [] -> (None, "none", n)
+    | s :: tl -> (
+      match Heuristic.solve ~strategy:s ~insts ~deps g cfg ~num_sms ~ii with
+      | `Schedule sched -> (Some sched, Heuristic.strategy_name s, n + 1)
+      | `Infeasible -> go (n + 1) tl)
+  in
+  go 0 Heuristic.all_strategies
 
-let exact_cost ~insts ~deps cfg ~num_sms ~ii =
-  let s = Ilp.size ~cuts:true ~insts ~deps cfg ~num_sms ~ii in
-  s.Ilp.rows * s.Ilp.nonzeros * s.Ilp.coef_bits
+(* Arm outcomes, recorded at commit points only — never from a
+   speculative probe — so they reflect the committed search. *)
+let m_arm_won =
+  List.map
+    (fun a -> (a, Obs.Metrics.counter ~labels:[ ("arm", a) ] "portfolio.arm_won"))
+    [ "ffd"; "bfd"; "bal"; "exact"; "lns" ]
 
-let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
+let m_no_arm_won = Obs.Metrics.counter "portfolio.no_arm_won"
+let m_lns_improved = Obs.Metrics.counter "portfolio.lns_improved"
+let h_lns_pct = Obs.Metrics.histogram "portfolio.lns_improvement_pct"
+let arm_won arm = Option.iter Obs.Metrics.inc (List.assoc_opt arm m_arm_won)
+
+let search ?(solver = Heuristic) ?(lns_rounds = 12) ?(budget = default_budget)
     g cfg ~num_sms =
   Obs.Trace.with_span "ii_search" @@ fun () ->
   Obs.Metrics.inc m_searches;
@@ -191,9 +199,6 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
         ("final", Obs.Log.Int lb);
         ("binding", Obs.Log.Str bounds.Mii.binding);
       ];
-  (* the exact ILP is only worth its cost near the II lower bound, where
-     the heuristic's packing granularity is the limiting factor *)
-  let near_bound ii = ii <= lb + (lb / 50) + 2 in
   let log = ref [] in
   let fail ~reason message =
     Obs.Metrics.inc m_failures;
@@ -279,7 +284,8 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
     | None -> ());
     Obs.Metrics.inc m_attempts;
     if a.tried_exact then Obs.Metrics.inc m_exact;
-    Portfolio.record_arm a.arm ~feasible:a.feasible;
+    if a.feasible then arm_won a.arm
+    else if a.arm = "none" then Obs.Metrics.inc m_no_arm_won;
     Obs.Metrics.observe h_attempt_s a.solve_time_s
   in
   let try_at ii =
@@ -287,42 +293,27 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
       ~attrs:[ ("ii", Obs.Trace.Int ii) ]
     @@ fun () ->
     let t0 = Resil.Clock.now () in
-    (* The attempt's one solve limit: a fresh root token (so probes stay
-       pure functions of their candidate II under parallel speculation).
-       [Exact] arms the paper's per-attempt wall clock; [Auto] caps work
-       units, plus a wall clock only when [auto_time_s] opts into one. *)
-    let tok =
-      let label = "ii_search.attempt" in
-      match solver with
-      | Exact _ -> Resil.Budget.create ~label ?wall_s:budget.exact_time_s ()
-      | Auto _ ->
-        Resil.Budget.create ~label ~work:exact_work_cap
-          ?wall_s:budget.auto_time_s ()
-      | Heuristic -> Resil.Budget.create ~label ()
-    in
     (* Fault-injection point: an armed ["ii_search.attempt"] fault turns
        this probe into a budget-exhausted infeasible attempt, exercising
        the relax-and-retry and degradation paths without a crash. *)
     let injected =
       Resil.Inject.armed () && Resil.Inject.hit "ii_search.attempt"
     in
-    let race ?node_budget allow_exact =
-      let o =
-        Portfolio.try_ii ~budget:tok ~allow_exact ?node_budget ~insts ~deps g
-          cfg ~num_sms ~ii
-      in
-      ( Option.map
-          (fun s -> (s, o.Portfolio.arm = "exact"))
-          o.Portfolio.schedule,
-        o.Portfolio.arm,
-        o.Portfolio.arms_run,
-        o.Portfolio.bb )
-    in
-    let res, arm, arms_run, bb =
-      if injected then (None, "none", 1, None)
+    let res, arm, arms_run, bb, budget_hit =
+      if injected then (None, "none", 1, None, true)
       else
         match solver with
+        | Heuristic ->
+          let s, arm, arms_run = race ~insts ~deps g cfg ~num_sms ~ii in
+          (Option.map (fun s -> (s, false)) s, arm, arms_run, None, false)
         | Exact nb -> (
+          (* The attempt's one solve limit: a fresh root token (so probes
+             stay pure functions of their candidate II under parallel
+             speculation) carrying the paper's per-attempt wall clock. *)
+          let tok =
+            Resil.Budget.create ~label:"ii_search.attempt"
+              ?wall_s:budget.exact_time_s ()
+          in
           (* Warm start: hand the ILP the heuristic's schedule as its
              incumbent — branch-and-bound verifies it against the full
              constraint system and, the problem being pure feasibility,
@@ -338,26 +329,13 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
             Ilp.solve ~node_budget:nb ~budget:tok ~insts ~deps ?warm_start
               ~stats:bb g cfg ~num_sms ~ii
           with
-          | `Schedule s -> (Some (s, true), "exact", 1, !bb)
-          | `Infeasible | `Budget_exhausted -> (None, "none", 1, !bb))
-        | Heuristic -> race false
-        | Auto nb ->
-          (* The exact arm is only admitted near the bound, where the
-             packing granularity is the limiting factor, and on problems
-             whose predicted cost lets it settle within its work cap. *)
-          race ~node_budget:nb
-            (near_bound ii
-            && exact_cost ~insts ~deps cfg ~num_sms ~ii <= exact_cost_cap)
+          | `Schedule s -> (Some (s, true), "exact", 1, !bb, false)
+          | `Infeasible | `Budget_exhausted ->
+            (* a failed solve was cut short when its token is spent *)
+            (None, "none", 1, !bb, Resil.Budget.over tok))
     in
     let tried_exact =
-      match solver with
-      | Exact _ -> not injected
-      | Heuristic | Auto _ -> bb <> None
-    in
-    (* Only an exact solve consults the token, so only a failed one can
-       have been cut short by its work or wall cap. *)
-    let budget_hit =
-      injected || (res = None && tried_exact && Resil.Budget.over tok)
+      match solver with Exact _ -> not injected | Heuristic -> false
     in
     ( res,
       mk_attempt ~ii ~arm ~arms_run ~tried_exact ~feasible:(res <> None)
@@ -376,7 +354,7 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
     let s, ii, refined =
       let skip =
         lns_rounds <= 0 || ii <= lb
-        || (match solver with Exact _ -> true | Heuristic | Auto _ -> false)
+        || (match solver with Exact _ -> true | Heuristic -> false)
       in
       if skip then (s, ii, false)
       else begin
@@ -386,12 +364,12 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
             {
               ii = p.Lns.target;
               arm = "lns";
-              tried_exact = p.Lns.exact_window;
+              tried_exact = false;
               feasible = p.Lns.feasible;
               solve_time_s = p.Lns.time_s;
-              lp_pivots = p.Lns.lp_pivots;
-              bb_nodes = p.Lns.bb_nodes;
-              work_units = p.Lns.work_units;
+              lp_pivots = 0;
+              bb_nodes = 0;
+              work_units = 1;
               budget_hit = false;
             }
         in
@@ -400,7 +378,12 @@ let search ?(solver = Auto 2000) ?(lns_rounds = 12) ?(budget = default_budget)
             ~deps g cfg ~num_sms ~lb s
         in
         if s'.Swp_schedule.ii < ii then begin
-          Portfolio.record_lns ~from_ii:ii ~to_ii:s'.Swp_schedule.ii;
+          Obs.Metrics.inc m_lns_improved;
+          arm_won "lns";
+          Obs.Metrics.observe h_lns_pct
+            (100.0
+            *. float_of_int (ii - s'.Swp_schedule.ii)
+            /. float_of_int (max 1 ii));
           (s', s'.Swp_schedule.ii, true)
         end
         else (s, ii, false)

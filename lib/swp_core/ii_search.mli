@@ -3,58 +3,60 @@
     The paper's methodology: start at the lower bound
     [max(ResMII, RecMII)], allot the solver a fixed budget, and on
     failure relax the II by 0.5% (at least 1 cycle) and retry, giving up
-    beyond 5x the bound.  We keep the same loop; each candidate II races
-    the {!Portfolio} arms (heuristic packings, then in [Auto] mode the
-    exact ILP near the bound), and the first feasible candidate is
-    refined downward by {!Lns.refine}.
+    beyond 5x the bound.  We keep the same loop.  In the default
+    [Heuristic] mode each candidate II races the
+    {!Heuristic.all_strategies} packings, and the first feasible
+    candidate is refined downward by {!Lns.refine}; no LP or ILP is
+    solved apart from the cutting-plane bound ({!Mii.lp_bound}).  In
+    [Exact] mode each candidate II solves the paper's ILP ({!Ilp.solve}),
+    warm-started with the first-fit packing's schedule so the ILP
+    verifies rather than re-discovers it.
 
     The search derives the instance/dependence expansion {e once} and
-    reuses it across every candidate II, and in [Exact] mode warm-starts
-    branch-and-bound with the heuristic's feasible schedule so the ILP
-    verifies rather than re-discovers it.
+    reuses it across every candidate II.
 
     {2 Budgets}
 
-    A {!budget} bounds the search along two axes.  {e Per-attempt}: each
-    candidate II gets one fresh {!Resil.Budget} token, armed at attempt
-    start and passed to the exact solve as its only limit besides the
-    node budget; the search then relaxes and retries, so this shapes
-    quality, not termination.  In [Exact] mode the token carries the
-    paper's 20 s CPLEX allotment ([exact_time_s]).  In [Auto] mode the
-    exact arm runs only where {!exact_cost} predicts at most
-    {!exact_cost_cap}, and its token caps work at {!exact_work_cap}
-    units; [auto_time_s] adds an opt-in wall clock on top and is [None]
-    by default, so a default compile reads no clock to decide anything.
-    {e Search-wide} limits ([total_work], [wall_clock_s]) stop the whole
-    search with a structured {!error} that the compiler turns into a
-    degraded-but-valid schedule.
+    A {!budget} bounds the search along two axes.  {e Per-attempt}: in
+    [Exact] mode each candidate II gets one fresh {!Resil.Budget} token,
+    armed at attempt start with the paper's 20 s CPLEX allotment
+    ([exact_time_s]) and passed to the ILP solve as its only limit
+    besides the node budget; the search then relaxes and retries, so
+    this shapes quality, not termination.  A [Heuristic] attempt solves
+    nothing that a token could bound, so a default compile reads no
+    clock to decide anything.  {e Search-wide} limits ([total_work],
+    [wall_clock_s]) stop the whole search with a structured {!error}
+    that the compiler turns into a degraded-but-valid schedule.
 
     Work-unit limits (simplex pivots + branch-and-bound nodes, one unit
-    each, plus one per arm raced) are deterministic: the ledger is
-    charged only when an attempt {e commits}, in candidate order, so a
-    budgeted parallel search cuts off at exactly the attempt the serial
-    search would.  Wall-clock limits are nondeterministic.  An exact
-    attempt that either kind of cap cuts short is logged with
-    [budget_hit]. *)
+    each, plus one per arm raced or LNS probe) are deterministic: the
+    ledger is charged only when an attempt {e commits}, in candidate
+    order, so a budgeted parallel search cuts off at exactly the attempt
+    the serial search would.  Wall-clock limits are nondeterministic.  An
+    exact attempt that either kind of cap cuts short is logged with
+    [budget_hit].
+
+    Arm outcomes are counted at commit points only, as
+    [portfolio.arm_won{arm}] (a feasible attempt's arm, and once more
+    per LNS improvement under ["lns"]), [portfolio.no_arm_won],
+    [portfolio.lns_improved] and [portfolio.lns_improvement_pct]. *)
 
 type solver =
   | Exact of int
-      (** ILP with the given node budget per candidate II, warm-started
-          from the heuristic schedule whenever one exists at that II *)
+      (** the paper's ILP with the given node budget per candidate II,
+          warm-started from the first-fit schedule whenever one exists
+          at that II; never refined by LNS *)
   | Heuristic
-  | Auto of int
-      (** heuristic first; when it fails at a candidate II near the
-          bound and {!exact_cost} predicts at most {!exact_cost_cap},
-          try the exact ILP with the given node budget (and at most
-          {!exact_work_cap} work units) before relaxing *)
+      (** the default: race the heuristic packings, then refine the
+          first feasible candidate with LNS *)
 
 type budget = {
   exact_time_s : float option;
       (** wall-clock seconds per [Exact] attempt — the paper's 20 s
           CPLEX allotment *)
   auto_time_s : float option;
-      (** opt-in wall-clock seconds per [Auto] attempt, an outer guard
-          on its exact arm on top of {!exact_work_cap} *)
+      (** ignored: no [Heuristic] attempt solves anything a clock could
+          bound.  Kept only because the benchmark harness reads it *)
   total_work : int option;
       (** work-unit ledger for the whole search; exhaustion stops it
           with reason [`Budget].  Deterministic *)
@@ -66,36 +68,17 @@ type budget = {
 val default_budget : budget
 (** [{ exact_time_s = Some 20.0; auto_time_s = None;
       total_work = None; wall_clock_s = None }] — the paper's
-    per-attempt allotment for [Exact], no wall clock in [Auto] (its
-    exact arm is bounded by {!exact_work_cap} alone), and no
-    search-wide limit. *)
-
-val exact_cost :
-  insts:Instances.instance list ->
-  deps:Instances.dep list ->
-  Select.config ->
-  num_sms:int ->
-  ii:int ->
-  int
-(** Predicted cost of the [Auto] exact arm at [ii], from the shape of
-    the ILP it would solve ({!Ilp.size} with cuts): rows x nonzeros x
-    coefficient bit-width.  A pure function of the graph, configuration,
-    SM count and II, computed before any pivot. *)
-
-val exact_cost_cap : int
-(** The largest {!exact_cost} at which [Auto] runs its exact arm. *)
-
-val exact_work_cap : int
-(** The work units (simplex pivots + branch-and-bound nodes) an
-    admitted [Auto] exact arm may spend at one candidate II. *)
+    per-attempt allotment for [Exact] and no search-wide limit. *)
 
 type attempt = {
   ii : int;                (** candidate II of this attempt *)
   arm : string;
-      (** the arm that produced this attempt's outcome: a portfolio arm
-          name (["ffd"] | ["bfd"] | ["bal"] | ["exact"]), ["lns"] for a
-          refinement probe, or ["none"] when nothing was feasible *)
-  tried_exact : bool;      (** the exact ILP ran (possibly warm-started) *)
+      (** the arm that produced this attempt's outcome: a heuristic
+          packing (["ffd"] | ["bfd"] | ["bal"]), ["exact"] for an
+          [Exact]-mode ILP solve, ["lns"] for a refinement probe, or
+          ["none"] when nothing was feasible *)
+  tried_exact : bool;
+      (** the exact ILP ran (possibly warm-started); [Exact] mode only *)
   feasible : bool;
   solve_time_s : float;    (** wall seconds spent on this candidate *)
   lp_pivots : int;         (** simplex pivots across the ILP's relaxations *)
@@ -160,15 +143,11 @@ val search :
   Select.config ->
   num_sms:int ->
   (Swp_schedule.t * stats, error) result
-(** Defaults: [solver = Auto 2000], [lns_rounds = 12],
+(** Defaults: [solver = Heuristic], [lns_rounds = 12],
     [budget = default_budget].
 
-    Each candidate II races the {!Heuristic.all_strategies} packings
-    (and, in [Auto] mode near the bound on problems within
-    {!exact_cost_cap}, the cut-armed exact ILP) — see {!Portfolio.try_ii}; [Exact] mode warm-starts the
-    ILP from the first-fit packing instead.  [lns_rounds] bounds the
-    {!Lns.refine} probes run below the first feasible candidate ([0]
-    disables refinement; [Exact] mode never refines).  Both preserve
-    byte-identical determinism: arms race in a fixed order under
-    work-unit budgets, and refinement probes run serially at commit
-    time. *)
+    [lns_rounds] bounds the {!Lns.refine} probes run below the first
+    feasible candidate ([0] disables refinement; [Exact] mode never
+    refines).  Both modes preserve byte-identical determinism: packings
+    race in a fixed order, work-unit budgets are charged at commit, and
+    refinement probes run serially at commit time. *)

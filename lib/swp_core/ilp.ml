@@ -188,38 +188,6 @@ let build ?insts ?deps ?(cuts = false) g (cfg : Select.config) ~num_sms ~ii =
       deps;
     Ok (p, vm)
 
-type size = { rows : int; nonzeros : int; coef_bits : int }
-
-(* The shape [build] would give, counted without building it: one row
-   per assignment (1), load (2), clique and symmetry constraint, 2 per
-   SM plus 2 per dependence (7)-(8), one per unsatisfiable
-   self-dependence; nonzeros term by term.  [coef_bits] is the bit
-   length of the largest coefficient or right-hand side, the II and the
-   dependence offsets [T*jlag + d], which rational pivots grow from. *)
-let size ?(cuts = false) ~insts ~deps (cfg : Select.config) ~num_sms ~ii =
-  let count p = List.length (List.filter p insts) in
-  let delay (i : Instances.instance) = cfg.delay.(i.node) in
-  let n = List.length insts in
-  let loaded = count (fun i -> delay i <> 0) in
-  let big = if cuts then count (fun i -> 2 * delay i > ii) else 0 in
-  let clique = if big >= 2 then num_sms else 0 in
-  let sym = if n > 0 then 1 else 0 in
-  let rows = ref (n + num_sms + clique + sym)
-  and nonzeros = ref ((n * num_sms) + (loaded * num_sms) + (clique * big) + sym)
-  and largest = ref ii in
-  List.iter
-    (fun (d : Instances.dep) ->
-      let off = (ii * d.jlag) + d.d_src in
-      if d.src = d.dst then (if off > 0 then incr rows)
-      else begin
-        rows := !rows + (2 * num_sms) + 2;
-        nonzeros := !nonzeros + (6 * num_sms) + 8;
-        largest := max !largest (max (abs off) (abs (ii * d.jlag)))
-      end)
-    deps;
-  let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1) in
-  { rows = !rows; nonzeros = !nonzeros; coef_bits = bits !largest }
-
 (* Cover-cut separation for the per-SM knapsack rows (2): from a
    fractional point, greedily build a cover C (instances whose combined
    delay exceeds the II) per SM in decreasing assignment-value order; the
@@ -318,13 +286,13 @@ let assignment_of_schedule p vm insts deps (s : Swp_schedule.t) ~num_sms =
     deps;
   fun v -> values.(v)
 
-let solve ?(node_budget = 4000) ?budget ?insts ?deps ?warm_start ?stats
-    ?(cuts = false) g cfg ~num_sms ~ii =
+let solve ?(node_budget = 4000) ?budget ?insts ?deps ?warm_start ?stats g cfg
+    ~num_sms ~ii =
   let insts =
     match insts with Some l -> l | None -> Instances.instances cfg
   in
   let deps = match deps with Some l -> l | None -> Instances.deps g cfg in
-  match build ~insts ~deps ~cuts g cfg ~num_sms ~ii with
+  match build ~insts ~deps g cfg ~num_sms ~ii with
   | Error _ -> `Infeasible
   | Ok (p, vm) -> (
     let incumbent =
@@ -334,12 +302,7 @@ let solve ?(node_budget = 4000) ?budget ?insts ?deps ?warm_start ?stats
         Some (assignment_of_schedule p vm insts deps s ~num_sms)
       | _ -> None
     in
-    let cut_gen =
-      if cuts then Some (cover_cuts vm insts cfg ~num_sms ~ii) else None
-    in
-    let outcome, bb =
-      Lp.Branch_bound.solve ~node_budget ?budget ?incumbent ?cuts:cut_gen p
-    in
+    let outcome, bb = Lp.Branch_bound.solve ~node_budget ?budget ?incumbent p in
     (match stats with Some r -> r := Some bb | None -> ());
     match outcome with
     | Lp.Solution.Infeasible -> `Infeasible

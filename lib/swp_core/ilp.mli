@@ -13,7 +13,10 @@
     The problem is a pure feasibility ILP (constant objective), solved by
     {!Lp.Branch_bound} — our CPLEX stand-in — under a node budget and
     the II search's per-attempt {!Resil.Budget} token (the paper's
-    20-second allotment in [Exact] mode, a work cap in [Auto]). *)
+    20-second allotment).  Only [Exact] mode and the solver cross-check
+    ([Check.Invariants.cross_solver]) solve it; a default compile never
+    does.  The cutting-plane lower bound ({!Mii.lp_bound}) builds it
+    with [cuts] and solves only its LP relaxation. *)
 
 type var_map = {
   w : (int * int * int, int) Hashtbl.t;  (** (node, k, sm) -> variable id *)
@@ -39,28 +42,8 @@ val build :
     it per attempt.  [cuts] (default [false]) additionally emits the
     a-priori big-instance clique inequalities (at most one instance
     longer than [ii/2] per SM) — valid for every integral solution, they
-    tighten the LP relaxation for the cutting-plane lower bound and the
-    exact portfolio arm without changing the paper's base system. *)
-
-type size = {
-  rows : int;       (** constraints *)
-  nonzeros : int;   (** nonzero constraint coefficients *)
-  coef_bits : int;  (** bit length of the largest coefficient or
-                        right-hand side magnitude *)
-}
-
-val size :
-  ?cuts:bool ->
-  insts:Instances.instance list ->
-  deps:Instances.dep list ->
-  Select.config ->
-  num_sms:int ->
-  ii:int ->
-  size
-(** The shape of the problem [build ?cuts] returns for the same
-    arguments, counted in time linear in the instance and dependence
-    lists without allocating it.  The II search predicts an exact
-    attempt's cost from it before paying for a pivot. *)
+    tighten the LP relaxation for the cutting-plane lower bound without
+    changing the paper's base system. *)
 
 val cover_cuts :
   var_map ->
@@ -70,7 +53,7 @@ val cover_cuts :
   ii:int ->
   Lp.Solution.t ->
   (Lp.Linexpr.t * Lp.Problem.relation * Lp.Linexpr.t) list
-(** Separation oracle for {!Lp.Branch_bound}'s root cut loop: given a
+(** Separation oracle for {!Mii.lp_bound}'s cut rounds: given a
     fractional solution, returns the violated per-SM cover cuts of the
     knapsack rows (2) — for a set [C] of instances whose combined delay
     exceeds the II, [sum_{i in C} w(i,sm) <= |C|-1].  Deterministic
@@ -84,7 +67,6 @@ val solve :
   ?deps:Instances.dep list ->
   ?warm_start:Swp_schedule.t ->
   ?stats:Lp.Branch_bound.stats option ref ->
-  ?cuts:bool ->
   Streamit.Graph.t ->
   Select.config ->
   num_sms:int ->
@@ -108,9 +90,4 @@ val solve :
     wall-clock deadline.
 
     [stats] receives the branch-and-bound statistics of the solve (node
-    and simplex-pivot counts) whatever the outcome.
-
-    [cuts] (default [false]) builds the problem with the clique
-    inequalities and arms branch-and-bound's root cut loop with
-    {!cover_cuts}, so near-bound candidate IIs are refuted from the
-    strengthened relaxation instead of by enumeration. *)
+    and simplex-pivot counts) whatever the outcome. *)

@@ -195,9 +195,13 @@ let with_lp b v = rebind { b with lp = Some v; final = max b.final v }
    at T proves no schedule exists at any T' <= T, i.e. T+1 is a valid
    lower bound.  The climb below therefore never depends on the
    {e provability} being monotone — a budget-truncated climb just
-   returns the best bound proven so far. *)
-let lp_bound ?insts ?deps ?(work = 2_000) ?(cut_rounds = 2) g cfg ~num_sms
-    ~start =
+   returns the best bound proven so far.  The climb's deterministic
+   allotment is [lp_work] simplex pivots, and each probe separates at
+   most [lp_cut_rounds] rounds of cover cuts. *)
+let lp_work = 2_000
+let lp_cut_rounds = 2
+
+let lp_bound ?insts ?deps g cfg ~num_sms ~start =
   let insts =
     match insts with Some l -> l | None -> Instances.instances cfg
   in
@@ -206,7 +210,7 @@ let lp_bound ?insts ?deps ?(work = 2_000) ?(cut_rounds = 2) g cfg ~num_sms
      search, before any attempt, and is a pure function of the problem —
      it is deliberately not charged to the search ledger, exactly like
      the combinatorial bounds above. *)
-  let tok = Resil.Budget.create ~label:"mii.lp_bound" ~work () in
+  let tok = Resil.Budget.create ~label:"mii.lp_bound" ~work:lp_work () in
   let refuted t =
     if t < 1 then true
     else
@@ -235,7 +239,7 @@ let lp_bound ?insts ?deps ?(work = 2_000) ?(cut_rounds = 2) g cfg ~num_sms
                   go (rounds - 1))
           end
         in
-        go cut_rounds
+        go lp_cut_rounds
   in
   if not (refuted start) then start
   else begin

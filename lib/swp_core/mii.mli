@@ -97,8 +97,6 @@ val unknown_bounds : bounds
 val lp_bound :
   ?insts:Instances.instance list ->
   ?deps:Instances.dep list ->
-  ?work:int ->
-  ?cut_rounds:int ->
   Streamit.Graph.t ->
   Select.config ->
   num_sms:int ->
@@ -108,13 +106,13 @@ val lp_bound :
     the combinatorial {!lower_bound} as [start]).  Probes candidate IIs
     upward: a candidate [T] is {e refuted} when the LP relaxation of the
     full scheduling ILP at [T] — strengthened with the clique rows and
-    up to [cut_rounds] (default 2) rounds of violated cover cuts
-    ({!Ilp.cover_cuts}) — is proven infeasible; since every integral
-    schedule satisfies the relaxation and ILP feasibility is monotone in
-    [T], each refutation alone certifies [T+1] as a valid bound.
-    Exponential climb plus bisection maximize the refuted prefix under a
-    deterministic work allotment of [work] (default 2000) simplex pivots
-    (kept small because exact-rational pivot cost grows with the II
-    magnitude in the capacity coefficients, not just the tableau size);
-    exhaustion simply returns the best bound proven so far, so the
-    result is reproducible across runs and [--jobs] settings. *)
+    up to two rounds of violated cover cuts ({!Ilp.cover_cuts}) — is
+    proven infeasible; since every integral schedule satisfies the
+    relaxation and ILP feasibility is monotone in [T], each refutation
+    alone certifies [T+1] as a valid bound.  Exponential climb plus
+    bisection maximize the refuted prefix under a fixed deterministic
+    allotment of 2,000 simplex pivots (kept small because exact-rational
+    pivot cost grows with the II magnitude in the capacity coefficients,
+    not just the tableau size); exhaustion simply returns the best bound
+    proven so far, so the result is reproducible across runs and
+    [--jobs] settings. *)

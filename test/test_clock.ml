@@ -128,31 +128,32 @@ let deadline_tests =
               Alcotest.(check bool) "degraded" true
                 (c.Swp_core.Compile.quality = Swp_core.Compile.Degraded)));
     t "a wall-capped exact attempt is logged as a budget hit" (fun () ->
-        (* The default search reads no clock, so the wall-cap path is
-           reached by opting into [auto_time_s] on an instance whose
-           exact arm the cost gate admits (generated stream 50 at 2 SMs).
+        (* Only [Exact] mode solves the ILP under a wall clock.  On
+           generated stream 50 at 2 SMs the first-fit packing fails near
+           the bound, so those candidates pay for a cold exact solve.
            One hour per clock read spends the 1 s allotment before the
-           arm takes a step, so every attempt that tried the exact ILP
-           was cut by the cap.  There is no search-wide limit, so the
-           heuristic arms still find a schedule. *)
+           solve takes a step, so every exact attempt that found no
+           schedule was cut by the cap.  There is no search-wide limit,
+           so the search still finds a schedule further up. *)
         let g = Streamit.Flatten.flatten (Check.Gen.stream ~seed:50 ()) in
         let c = Result.get_ok (Swp_core.Compile.compile ~num_sms:2 g) in
         let budget =
-          { Swp_core.Ii_search.default_budget with auto_time_s = Some 1.0 }
+          { Swp_core.Ii_search.default_budget with exact_time_s = Some 1.0 }
         in
         Resil.Clock.with_source
           (Resil.Clock.ticker ~t0:0.0 ~step:3600.0 ())
           (fun () ->
             match
-              Swp_core.Ii_search.search ~budget g c.Swp_core.Compile.config
-                ~num_sms:2
+              Swp_core.Ii_search.search ~solver:(Swp_core.Ii_search.Exact 2000)
+                ~budget g c.Swp_core.Compile.config ~num_sms:2
             with
             | Error e -> Alcotest.fail e.Swp_core.Ii_search.message
             | Ok (_, st) ->
               let exact =
                 List.filter
                   (fun (a : Swp_core.Ii_search.attempt) ->
-                    a.Swp_core.Ii_search.tried_exact)
+                    a.Swp_core.Ii_search.tried_exact
+                    && not a.Swp_core.Ii_search.feasible)
                   st.Swp_core.Ii_search.attempt_log
               in
               Alcotest.(check bool) "some attempt tried the exact ILP" true
@@ -168,14 +169,40 @@ let deadline_tests =
 (* A default compile reads the clock only to time itself: under a clock
    that jumps an hour per read, every registry program at every SM count
    and coarsening factor commits the same search and the same schedule
-   as under the real clock. *)
+   as under the real clock.  No committed attempt solves an LP or ILP.
+   Generated stream 50 at 2 SMs fails every packing near its bound, the
+   case an exact arm would be tried on. *)
 let host_independence_tests =
   [
     t "default compiles do not depend on the clock" (fun () ->
         let compile g ~num_sms ~coarsening =
           match Swp_core.Compile.compile ~num_sms ~coarsening g with
           | Error m -> Alcotest.fail m
-          | Ok c -> Swp_core.Report.schedule_signature c
+          | Ok c -> c
+        in
+        let check name g ~num_sms ~coarsening =
+          let real = compile g ~num_sms ~coarsening in
+          let jumping =
+            Resil.Clock.with_source
+              (Resil.Clock.ticker ~t0:0.0 ~step:3600.0 ())
+              (fun () -> compile g ~num_sms ~coarsening)
+          in
+          let where =
+            Printf.sprintf "%s at %d SMs, coarsening %d" name num_sms coarsening
+          in
+          Alcotest.(check string) where
+            (Swp_core.Report.schedule_signature real)
+            (Swp_core.Report.schedule_signature jumping);
+          List.iter
+            (fun (a : Swp_core.Ii_search.attempt) ->
+              Alcotest.(check (triple bool int int))
+                (Printf.sprintf "%s: no solve at II=%d" where
+                   a.Swp_core.Ii_search.ii)
+                (false, 0, 0)
+                ( a.Swp_core.Ii_search.tried_exact,
+                  a.Swp_core.Ii_search.lp_pivots,
+                  a.Swp_core.Ii_search.bb_nodes ))
+            real.Swp_core.Compile.search_stats.Swp_core.Ii_search.attempt_log
         in
         List.iter
           (fun (e : Benchmarks.Registry.entry) ->
@@ -184,19 +211,13 @@ let host_independence_tests =
               (fun num_sms ->
                 List.iter
                   (fun coarsening ->
-                    let real = compile g ~num_sms ~coarsening in
-                    let jumping =
-                      Resil.Clock.with_source
-                        (Resil.Clock.ticker ~t0:0.0 ~step:3600.0 ())
-                        (fun () -> compile g ~num_sms ~coarsening)
-                    in
-                    Alcotest.(check string)
-                      (Printf.sprintf "%s at %d SMs, coarsening %d"
-                         e.Benchmarks.Registry.name num_sms coarsening)
-                      real jumping)
+                    check e.Benchmarks.Registry.name g ~num_sms ~coarsening)
                   [ 1; 8 ])
               [ 2; 4; 6; 8; 16 ])
-          Benchmarks.Registry.all);
+          Benchmarks.Registry.all;
+        check "generated stream 50"
+          (Streamit.Flatten.flatten (Check.Gen.stream ~seed:50 ()))
+          ~num_sms:2 ~coarsening:1);
   ]
 
 let suite =

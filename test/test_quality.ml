@@ -228,10 +228,9 @@ let armless_attempts_ffd_infeasible () =
     Alcotest.failf "only %d/%d seeds compiled: generator drifted?" !checked
       (List.length seeds)
 
-(* Achieved II of every registry program at 2-16 SMs, recorded before
-   the Auto exact arm was gated on predicted cost.  Coarsening leaves the
-   II alone, so each entry covers both factors checked.  No point may
-   rise. *)
+(* Achieved II of every registry program at 2-16 SMs.  Coarsening
+   leaves the II alone, so each entry covers both factors checked.  No
+   point may rise. *)
 let grid_ii =
   [
     ("Bitonic", [ (2, 43068); (4, 22622); (6, 15226); (8, 12182); (16, 9011) ]);

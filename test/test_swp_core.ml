@@ -299,29 +299,6 @@ let sched_tests =
         let c = Result.get_ok (Compile.compile g) in
         Alcotest.(check int) "no relaxation" c.Compile.search_stats.Ii_search.lower_bound
           c.Compile.schedule.Swp_schedule.ii);
-    t "Ilp.size counts the problem Ilp.build returns" (fun () ->
-        List.iter
-          (fun (g, num_sms) ->
-            let c = Result.get_ok (Compile.compile ~num_sms g) in
-            let cfg = c.Compile.config in
-            let insts = Instances.instances cfg and deps = Instances.deps g cfg in
-            let ii = c.Compile.search_stats.Ii_search.lower_bound in
-            List.iter
-              (fun cuts ->
-                match Ilp.build ~cuts g cfg ~num_sms ~ii with
-                | Error m -> Alcotest.fail m
-                | Ok (p, _) ->
-                  let cs = Lp.Problem.constraints p in
-                  let sz = Ilp.size ~cuts ~insts ~deps cfg ~num_sms ~ii in
-                  Alcotest.(check int) "rows" (List.length cs) sz.Ilp.rows;
-                  Alcotest.(check int) "nonzeros"
-                    (List.fold_left
-                       (fun n (r : Lp.Problem.cstr) ->
-                         n + List.length (Lp.Linexpr.terms r.Lp.Problem.lhs))
-                       0 cs)
-                    sz.Ilp.nonzeros)
-              [ false; true ])
-          [ (ab_graph (), 2); (Flatten.flatten (Benchmarks.Bitonic.stream ()), 2) ]);
     t "heuristic refutes an infeasible packing without climbing" (fun () ->
         (* Generated stream 121 at 16 SMs: at its II bound the ffd and bfd
            packings admit no placement, and the longest-path climb toward
@@ -340,59 +317,6 @@ let sched_tests =
               Alcotest.failf "%s schedules seed 121 at its bound"
                 (Heuristic.strategy_name strategy))
           [ Heuristic.First_fit; Heuristic.Best_fit ]);
-  ]
-
-(* --- The Auto exact arm's cost gate --- *)
-
-let exact_attempts (c : Compile.compiled) =
-  List.filter
-    (fun (a : Ii_search.attempt) -> a.Ii_search.tried_exact && a.Ii_search.arm <> "lns")
-    c.Compile.search_stats.Ii_search.attempt_log
-
-let gate_tests =
-  [
-    t "a small instance admits the exact arm and it settles in its work cap"
-      (fun () ->
-        (* Generated stream 50 at 2 SMs: 3 instances, a 30-row ILP
-           predicted at 53k, refuted well within the work cap. *)
-        let g = Flatten.flatten (Check.Gen.stream ~seed:50 ()) in
-        let c = Result.get_ok (Compile.compile ~num_sms:2 g) in
-        let cfg = c.Compile.config in
-        let insts = Instances.instances cfg and deps = Instances.deps g cfg in
-        match exact_attempts c with
-        | [] -> Alcotest.fail "the exact arm never ran"
-        | l ->
-          List.iter
-            (fun (a : Ii_search.attempt) ->
-              Alcotest.(check bool) "predicted within the cap" true
-                (Ii_search.exact_cost ~insts ~deps cfg ~num_sms:2 ~ii:a.Ii_search.ii
-                <= Ii_search.exact_cost_cap);
-              Alcotest.(check bool) "not cut" false a.Ii_search.budget_hit;
-              Alcotest.(check bool) "within the work cap" true
-                (a.Ii_search.lp_pivots + a.Ii_search.bb_nodes
-                < Ii_search.exact_work_cap))
-            l);
-    t "a costly instance skips the exact arm" (fun () ->
-        (* Bitonic at 2 SMs fails every packing near its bound, where a
-           252-row ILP with 16-bit coefficients predicts 3.4M. *)
-        let g = Flatten.flatten (Benchmarks.Bitonic.stream ()) in
-        let c = Result.get_ok (Compile.compile ~num_sms:2 ~coarsening:8 g) in
-        Alcotest.(check (list int)) "no exact attempt" []
-          (List.map (fun (a : Ii_search.attempt) -> a.Ii_search.ii) (exact_attempts c));
-        let lb = c.Compile.search_stats.Ii_search.lower_bound in
-        let skipped =
-          List.filter
-            (fun (a : Ii_search.attempt) ->
-              a.Ii_search.arm = "none" && a.Ii_search.ii <= lb + (lb / 50) + 2)
-            c.Compile.search_stats.Ii_search.attempt_log
-        in
-        Alcotest.(check bool) "some near-bound attempt failed every packing" true
-          (skipped <> []);
-        List.iter
-          (fun (a : Ii_search.attempt) ->
-            Alcotest.(check int) "no pivots" 0 a.Ii_search.lp_pivots;
-            Alcotest.(check bool) "no budget hit" false a.Ii_search.budget_hit)
-          skipped);
   ]
 
 (* --- Buffer layout --- *)
@@ -542,5 +466,5 @@ let compile_tests =
   ]
 
 let suite =
-  profile_tests @ select_tests @ instance_tests @ sched_tests @ gate_tests
+  profile_tests @ select_tests @ instance_tests @ sched_tests
   @ layout_tests @ compile_tests
