@@ -14,17 +14,36 @@
      (uniform-control-flow is a hard validation rule) and a deadlock
      on the other three, so it is enforced for every target;
    - the kernel must contain at least one barrier (the staging
-     predicate handoff cannot be correct without one). *)
+     predicate handoff cannot be correct without one).
 
-let barrier_token = function
-  | Ir.Cuda -> "__syncthreads"
-  | Ir.Wgsl -> "workgroupBarrier"
-  | Ir.Opencl -> "barrier"
-  | Ir.Metal -> "threadgroup_barrier"
+   After [strip] and [check_balance], the kernel is read in one pass
+   over its tokens: a token is a maximal run of identifier bytes, or
+   any other non-blank byte on its own.  The pass keeps only byte
+   offsets, and every per-target difference lives in [dialect]. *)
+
+(* A declaration shape: the tokens before and after the declared name. *)
+type decl = string list * string list
+
+type dialect = { barrier : string; fn : decl; region : decl; buffer : decl }
+
+let dialect t =
+  let cfam barrier buffer =
+    { barrier; fn = ([ "void" ], [ "(" ]); region = ([ "int" ], [ "(" ]);
+      buffer = (buffer, []) }
+  in
+  match t with
+  | Ir.Cuda -> cfam "__syncthreads" [ "float"; "*" ]
+  | Ir.Opencl -> cfam "barrier" [ "__global"; "float"; "*" ]
+  | Ir.Metal -> cfam "threadgroup_barrier" [ "device"; "float"; "*" ]
+  | Ir.Wgsl ->
+    { barrier = "workgroupBarrier"; fn = ([ "fn" ], [ "(" ]);
+      region = ([ "fn" ], [ "(" ]); buffer = ([ ">" ], [ ":" ]) }
 
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_'
+
+let is_blank c = c <= ' '
 
 (* Blank out comments and string/char literals, preserving length and
    newlines so positions stay meaningful. *)
@@ -85,29 +104,6 @@ let strip src =
   done;
   Bytes.to_string out
 
-(* All positions where [name] occurs as a whole identifier. *)
-let word_occurrences src name =
-  let n = String.length src and m = String.length name in
-  let acc = ref [] in
-  let i = ref 0 in
-  while !i + m <= n do
-    if
-      String.sub src !i m = name
-      && ((!i = 0) || not (is_ident_char src.[!i - 1]))
-      && (!i + m = n || not (is_ident_char src.[!i + m]))
-    then acc := !i :: !acc;
-    incr i
-  done;
-  List.rev !acc
-
-let find_sub src pat =
-  let n = String.length src and m = String.length pat in
-  let rec go i = if i + m > n then None
-    else if String.sub src i m = pat then Some i
-    else go (i + 1)
-  in
-  go 0
-
 let check_balance src =
   let stack = ref [] in
   let err = ref None in
@@ -129,158 +125,150 @@ let check_balance src =
     Error (Printf.sprintf "unclosed '%c' opened at byte %d" o pos)
   | None, [] -> Ok ()
 
-(* Raw (non-word-bounded) substring occurrence positions. *)
-let sub_occurrences src pat =
-  let n = String.length src and m = String.length pat in
-  let acc = ref [] in
-  for i = 0 to n - m do
-    if String.sub src i m = pat then acc := i :: !acc
-  done;
-  List.rev !acc
+(* Token boundaries: the end of the token starting at non-blank [i],
+   and the start of the token ending at [e]. *)
+let token_end s i =
+  let j = ref (i + 1) in
+  if is_ident_char s.[i] then
+    while !j < String.length s && is_ident_char s.[!j] do incr j done;
+  !j
 
-(* [name] must first occur inside its declaration [patterns] (each
-   pattern contains the name); with [unique], a second
-   declaration-shaped occurrence is a name collision. *)
-let check_decl ?(unique = true) src ~name ~patterns =
-  let occ = word_occurrences src name in
-  let decls =
-    List.concat_map
-      (fun pat ->
-        match find_sub pat name with
-        | Some off -> List.map (fun i -> i + off) (sub_occurrences src pat)
-        | None -> [])
-      patterns
-  in
-  match (occ, decls) with
-  | [], _ -> Error (Printf.sprintf "%s never appears" name)
-  | _, [] -> Error (Printf.sprintf "%s has no declaration" name)
-  | first :: _, _ ->
-    if not (List.mem first decls) then
-      Error (Printf.sprintf "%s used before its declaration" name)
-    else if unique && List.length decls > 1 then
-      Error (Printf.sprintf "%s declared %d times" name (List.length decls))
-    else Ok ()
+let token_start s e =
+  let j = ref (e - 1) in
+  if is_ident_char s.[!j] then
+    while !j > 0 && is_ident_char s.[!j - 1] do decr j done;
+  !j
 
-(* Reject a barrier under tid-dependent control flow.  Tracks the brace
-   stack; a brace opened by an if/for/while header whose text mentions
-   [tid] (and any else-branch of such an if) is non-uniform. *)
-let check_barrier_uniformity src ~barrier =
-  let n = String.length src in
-  let stack = ref [] in
-  let last_popped = ref false in
-  let err = ref None in
-  let i = ref 0 in
-  let starts_word j w =
-    let m = String.length w in
-    j + m <= n
-    && String.sub src j m = w
-    && (j = 0 || not (is_ident_char src.[j - 1]))
-    && (j + m = n || not (is_ident_char src.[j + m]))
-  in
-  while !i < n && !err = None do
-    if starts_word !i "if" || starts_word !i "for" || starts_word !i "while"
-    then begin
-      (* header runs to the '{' or, for brace-less bodies, the ';' *)
-      let j = ref !i in
-      while !j < n && src.[!j] <> '{' && src.[!j] <> ';' do
-        incr j
-      done;
-      let header = String.sub src !i (!j - !i) in
-      let tid_dep = word_occurrences header "tid" <> [] in
-      if !j < n && src.[!j] = '{' then begin
-        stack := tid_dep :: !stack;
-        i := !j + 1
-      end
-      else begin
-        (* brace-less body: treat the statement itself as guarded *)
-        (if tid_dep then
-           let body = String.sub src !i (!j - !i) in
-           if word_occurrences body barrier <> [] then
-             err :=
-               Some
-                 (Printf.sprintf "%s under tid-dependent guard at byte %d"
-                    barrier !i));
-        i := !j + 1
-      end
-    end
-    else if starts_word !i "else" then begin
-      (* else-branch inherits the popped if's uniformity *)
-      let j = ref (!i + 4) in
-      while !j < n && (src.[!j] = ' ' || src.[!j] = '\n') do
-        incr j
-      done;
-      if !j < n && src.[!j] = '{' then begin
-        stack := !last_popped :: !stack;
-        i := !j + 1
-      end
-      else i := !i + 4
-    end
-    else if src.[!i] = '{' then begin
-      stack := false :: !stack;
-      incr i
-    end
-    else if src.[!i] = '}' then begin
-      (match !stack with
-      | top :: rest ->
-        last_popped := top;
-        stack := rest
-      | [] -> ());
-      incr i
-    end
-    else if starts_word !i barrier then begin
-      if List.exists (fun g -> g) !stack then
-        err :=
-          Some
-            (Printf.sprintf "%s inside tid-dependent control flow at byte %d"
-               barrier !i);
-      i := !i + String.length barrier
-    end
-    else incr i
-  done;
-  match !err with Some e -> Error e | None -> Ok ()
+(* The token [s.[i..e)] spells [w]. *)
+let is s i e w =
+  e - i = String.length w
+  && let rec go k = k = e - i || (s.[i + k] = w.[k] && go (k + 1)) in go 0
 
-let decl_patterns target kind name =
-  match (target, kind) with
-  | Ir.Wgsl, `Fn -> [ "fn " ^ name ^ "(" ]
-  | (Ir.Cuda | Ir.Opencl | Ir.Metal), `Fn -> [ "void " ^ name ^ "(" ]
-  | Ir.Wgsl, `Region -> [ "fn " ^ name ^ "(" ]
-  | (Ir.Cuda | Ir.Opencl | Ir.Metal), `Region -> [ "int " ^ name ^ "(" ]
-  | Ir.Wgsl, `Buffer -> [ "> " ^ name ^ ":" ]
-  | Ir.Cuda, `Buffer -> [ "float* " ^ name ]
-  | Ir.Opencl, `Buffer -> [ "__global float* " ^ name ]
-  | Ir.Metal, `Buffer -> [ "device float* " ^ name ]
+(* The tokens from byte [i] on spell [ws]; the tokens before byte [e]
+   spell [ws] nearest first. *)
+let rec next s i = function
+  | [] -> true
+  | w :: ws ->
+    let i = ref i in
+    while !i < String.length s && is_blank s.[!i] do incr i done;
+    !i < String.length s && (let e = token_end s !i in is s !i e w && next s e ws)
 
+let rec prev s e = function
+  | [] -> true
+  | w :: ws ->
+    let e = ref e in
+    while !e > 0 && is_blank s.[!e - 1] do decr e done;
+    !e > 0 && (let i = token_start s !e in is s i !e w && prev s i ws)
+
+(* After the balance check, one pass over the tokens counts barriers,
+   records each program-level name's first use and declarations, and
+   walks barrier uniformity: every open brace carries a guard bit, set
+   when its [if]/[for]/[while] header mentions [tid].  A header ends at
+   the first [{] or [;] outside parentheses, so [for (i = tid; ...)] is
+   read whole.  [else] and [else if] inherit the guard of the branch
+   they follow, and a brace-less body is checked up to its [;]. *)
 let check (target : Ir.target) (p : Ir.program) src =
   let s = strip src in
+  let d = dialect target in
   let ( let* ) = Result.bind in
   let* () = check_balance s in
+  (* the CUDA/Metal host code re-declares buffer names (cudaMalloc /
+     newBuffer), so uniqueness is only enforced for functions *)
+  let names =
+    Array.of_list
+      (List.map (fun (w : Ir.work_fn) -> (w.Ir.w_name, d.fn, true)) p.Ir.work_fns
+      @ List.map
+          (fun (v, _) -> (Printf.sprintf "region_%d" v, d.region, true))
+          p.Ir.regions
+      @ List.map
+          (fun (b : Ir.buffer) -> (b.Ir.b_name, d.buffer, false))
+          (Array.to_list p.Ir.buffers))
+  in
+  let m = Array.length names in
+  let tbl = Hashtbl.create m in
+  Array.iteri (fun k (name, _, _) -> Hashtbl.add tbl name k) names;
+  let first_use = Array.make m (-1) and first_is_decl = Array.make m false in
+  let decls = Array.make m 0 in
+  let barriers = ref 0 and err = ref None in
+  let fail fmt = Printf.ksprintf (fun e -> if !err = None then err := Some e) fmt in
+  let stack = ref [] and last = ref false in
+  (* the open header: start byte (-1 when none), guard, paren depth,
+     whether it holds a barrier, and whether it is still a bare [else] *)
+  let hdr = ref (-1) and guard = ref false and depth = ref 0 in
+  let hdr_barrier = ref false and bare_else = ref false in
+  let open_header i g =
+    hdr := i;
+    guard := g;
+    depth := 0;
+    hdr_barrier := false
+  in
+  let guarded () = List.exists Fun.id !stack in
+  let i = ref 0 in
+  while !i < String.length s do
+    if is_blank s.[!i] then incr i
+    else begin
+      let i0 = !i and e = token_end s !i in
+      let c = s.[i0] in
+      let kw = is s i0 e "if" || is s i0 e "for" || is s i0 e "while" in
+      if is s i0 e d.barrier then begin
+        incr barriers;
+        if !hdr >= 0 then hdr_barrier := true
+        else if guarded () then
+          fail "%s inside tid-dependent control flow at byte %d" d.barrier i0
+      end;
+      if !hdr >= 0 then begin
+        if kw && !bare_else then hdr := i0
+        else if c = '(' then incr depth
+        else if c = ')' then decr depth
+        else if !depth = 0 && (c = '{' || c = ';') then begin
+          if !hdr_barrier && (!guard || guarded ()) then
+            fail "%s under tid-dependent guard at byte %d" d.barrier !hdr;
+          if c = '{' then stack := !guard :: !stack else last := !guard;
+          hdr := -1
+        end
+        else if is s i0 e "tid" then guard := true;
+        bare_else := false
+      end
+      else if kw then open_header i0 false
+      else if is s i0 e "else" then (open_header i0 !last; bare_else := true)
+      else if c = '{' then stack := false :: !stack
+      else if c = '}' then (
+        match !stack with
+        | top :: rest -> last := top; stack := rest
+        | [] -> ());
+      if is_ident_char c then
+        List.iter
+          (fun k ->
+            let _, (before, after), _ = names.(k) in
+            let at_decl = prev s i0 (List.rev before) && next s e after in
+            if first_use.(k) < 0 then begin
+              first_use.(k) <- i0;
+              first_is_decl.(k) <- at_decl
+            end;
+            if at_decl then decls.(k) <- decls.(k) + 1)
+          (Hashtbl.find_all tbl (String.sub s i0 (e - i0)));
+      i := e
+    end
+  done;
   let* () =
-    if word_occurrences s (barrier_token target) = [] then
-      Error (Printf.sprintf "no %s in kernel" (barrier_token target))
+    if !barriers = 0 then Error (Printf.sprintf "no %s in kernel" d.barrier)
     else Ok ()
   in
-  let* () = check_barrier_uniformity s ~barrier:(barrier_token target) in
-  let rec all = function
-    | [] -> Ok ()
-    | (name, kind) :: rest ->
-      (* the CUDA/Metal host code re-declares buffer names (cudaMalloc /
-         newBuffer), so uniqueness is only enforced for functions *)
-      let unique = kind <> `Buffer in
-      let* () =
-        check_decl ~unique s ~name ~patterns:(decl_patterns target kind name)
-      in
-      all rest
+  let* () = match !err with Some e -> Error e | None -> Ok () in
+  let rec names_ok k =
+    if k = m then Ok ()
+    else
+      let name, _, unique = names.(k) in
+      if first_use.(k) < 0 then Error (Printf.sprintf "%s never appears" name)
+      else if decls.(k) = 0 then
+        Error (Printf.sprintf "%s has no declaration" name)
+      else if not first_is_decl.(k) then
+        Error (Printf.sprintf "%s used before its declaration" name)
+      else if unique && decls.(k) > 1 then
+        Error (Printf.sprintf "%s declared %d times" name decls.(k))
+      else names_ok (k + 1)
   in
-  let names =
-    List.map (fun (w : Ir.work_fn) -> (w.Ir.w_name, `Fn)) p.Ir.work_fns
-    @ List.map
-        (fun (v, _) -> (Printf.sprintf "region_%d" v, `Region))
-        p.Ir.regions
-    @ List.map
-        (fun (b : Ir.buffer) -> (b.Ir.b_name, `Buffer))
-        (Array.to_list p.Ir.buffers)
-  in
-  all names
+  names_ok 0
 
 let check_err target p src =
   match check target p src with

@@ -104,11 +104,13 @@ let h_attempt_s = Obs.Metrics.histogram "ii_search.attempt_seconds"
 let h_relax = Obs.Metrics.histogram "ii_search.relaxation"
 
 (* The LP/cutting-plane bound pays a few exact-rational LP solves per
-   probe.  Pivot cost grows with both the tableau size (assignment
-   variables = instances x SMs) and the magnitude of the candidate II
-   (the rational coefficients it seeds grow with it), so the bound is
-   gated on both: small problems with small IIs are exactly where the
-   combinatorial bounds leave a provable gap anyway. *)
+   probe, and only [Exact] mode asks for it.  Pivot cost grows with both
+   the tableau size (assignment variables = instances x SMs) and the
+   magnitude of the candidate II (the rational coefficients it seeds
+   grow with it), so the bound is gated on both: small problems with
+   small IIs are exactly where the combinatorial bounds leave a provable
+   gap anyway.  Its pivot allotment does not bound wall time, so a
+   default search never pays for it. *)
 let lp_bound_max_vars = 128
 let lp_bound_max_ii = 256
 
@@ -149,6 +151,7 @@ let search ?(solver = Heuristic) ?(lns_rounds = 12) ?(budget = default_budget)
     g cfg ~num_sms =
   Obs.Trace.with_span "ii_search" @@ fun () ->
   Obs.Metrics.inc m_searches;
+  let exact = match solver with Exact _ -> true | Heuristic -> false in
   (* The instance/dependence expansion does not depend on the candidate II:
      derive it once and reuse it across every attempt (and the MII bound). *)
   let insts = Instances.instances cfg in
@@ -158,9 +161,10 @@ let search ?(solver = Heuristic) ?(lns_rounds = 12) ?(budget = default_budget)
        let bounds = Mii.bounds ~deps g cfg ~num_sms in
        (* Cutting-plane refinement of the floor: deterministic, bounded
           work, each refuted candidate is an independent proof — see
-          {!Mii.lp_bound}.  Gated by problem size. *)
+          {!Mii.lp_bound}.  [Exact] mode only, gated by problem size. *)
        if
-         Instances.num_instances cfg * num_sms <= lp_bound_max_vars
+         exact
+         && Instances.num_instances cfg * num_sms <= lp_bound_max_vars
          && bounds.Mii.combinatorial <= lp_bound_max_ii
        then
          Ok
@@ -334,9 +338,7 @@ let search ?(solver = Heuristic) ?(lns_rounds = 12) ?(budget = default_budget)
             (* a failed solve was cut short when its token is spent *)
             (None, "none", 1, !bb, Resil.Budget.over tok))
     in
-    let tried_exact =
-      match solver with Exact _ -> not injected | Heuristic -> false
-    in
+    let tried_exact = exact && not injected in
     ( res,
       mk_attempt ~ii ~arm ~arms_run ~tried_exact ~feasible:(res <> None)
         ~budget_hit ~t0 bb )
@@ -352,10 +354,7 @@ let search ?(solver = Heuristic) ?(lns_rounds = 12) ?(budget = default_budget)
        Runs serially after the parallel window committed, so the refined
        schedule is a pure function of the committed search state. *)
     let s, ii, refined =
-      let skip =
-        lns_rounds <= 0 || ii <= lb
-        || (match solver with Exact _ -> true | Heuristic -> false)
-      in
+      let skip = lns_rounds <= 0 || ii <= lb || exact in
       if skip then (s, ii, false)
       else begin
         let ledger_ok () = ledger_over () = None in

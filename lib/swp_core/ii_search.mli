@@ -7,10 +7,11 @@
     [Heuristic] mode each candidate II races the
     {!Heuristic.all_strategies} packings, and the first feasible
     candidate is refined downward by {!Lns.refine}; no LP or ILP is
-    solved apart from the cutting-plane bound ({!Mii.lp_bound}).  In
-    [Exact] mode each candidate II solves the paper's ILP ({!Ilp.solve}),
-    warm-started with the first-fit packing's schedule so the ILP
-    verifies rather than re-discovers it.
+    solved.  In [Exact] mode each candidate II solves the paper's ILP
+    ({!Ilp.solve}), warm-started with the first-fit packing's schedule
+    so the ILP verifies rather than re-discovers it, and the floor is
+    refined by the cutting-plane bound ({!Mii.lp_bound}) on small
+    problems.
 
     The search derives the instance/dependence expansion {e once} and
     reuses it across every candidate II.

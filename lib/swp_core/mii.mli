@@ -82,8 +82,9 @@ val bounds :
   Select.config ->
   num_sms:int ->
   bounds
-(** All combinatorial components ([lp] is [None]; the II search grafts
-    it with {!with_lp} when the problem passes the LP gate).
+(** All combinatorial components ([lp] is [None]; an [Exact]-mode II
+    search grafts it with {!with_lp} when the problem passes the LP
+    gate).
     @raise Unschedulable as {!rec_mii}. *)
 
 val with_lp : bounds -> int -> bounds

@@ -169,9 +169,9 @@ let deadline_tests =
 (* A default compile reads the clock only to time itself: under a clock
    that jumps an hour per read, every registry program at every SM count
    and coarsening factor commits the same search and the same schedule
-   as under the real clock.  No committed attempt solves an LP or ILP.
-   Generated stream 50 at 2 SMs fails every packing near its bound, the
-   case an exact arm would be tried on. *)
+   as under the real clock.  No committed attempt solves an LP or ILP,
+   and no bound does either.  Generated stream 50 at 2 SMs fails every
+   packing near its bound, the case an exact arm would be tried on. *)
 let host_independence_tests =
   [
     t "default compiles do not depend on the clock" (fun () ->
@@ -217,7 +217,39 @@ let host_independence_tests =
           Benchmarks.Registry.all;
         check "generated stream 50"
           (Streamit.Flatten.flatten (Check.Gen.stream ~seed:50 ()))
-          ~num_sms:2 ~coarsening:1);
+          ~num_sms:2 ~coarsening:1;
+        (* The small-delay rewrite of generated stream 301 at 3 SMs (the
+           [lp_bound_sound] rewrite of test_quality) fits the LP bound's
+           size gate, yet that bound's pivot allotment spends ~20 s
+           there to prove nothing.  Only [Exact] mode pays for it. *)
+        let pivots = Obs.Metrics.counter "lp.pivots" in
+        let before = Obs.Metrics.value pivots in
+        let g = Streamit.Flatten.flatten (Check.Gen.stream ~seed:301 ()) in
+        let cfg = (compile g ~num_sms:3 ~coarsening:1).Swp_core.Compile.config in
+        let cfg =
+          {
+            cfg with
+            Swp_core.Select.delay =
+              Array.map (fun d -> 1 + (d mod 4)) cfg.Swp_core.Select.delay;
+          }
+        in
+        let search () =
+          match Swp_core.Ii_search.search g cfg ~num_sms:3 with
+          | Error e -> Alcotest.fail e.Swp_core.Ii_search.message
+          | Ok (_, st) -> st
+        in
+        let real = search () in
+        let jumping =
+          Resil.Clock.with_source
+            (Resil.Clock.ticker ~t0:0.0 ~step:3600.0 ())
+            search
+        in
+        Alcotest.(check string) "small-delay stream 301 at 3 SMs"
+          (Swp_core.Ii_search.log_signature real)
+          (Swp_core.Ii_search.log_signature jumping);
+        Alcotest.(check (option int)) "small-delay stream 301: lp skipped" None
+          real.Swp_core.Ii_search.bounds.Swp_core.Mii.lp;
+        Alcotest.(check int) "no lp.pivots" before (Obs.Metrics.value pivots));
   ]
 
 let suite =

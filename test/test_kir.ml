@@ -130,23 +130,66 @@ let eval_tests =
 
 (* ---- linter ---------------------------------------------------------- *)
 
-let corrupt_cases (src : string) =
+let corrupt_cases target (p : Kir.Ir.program) (src : string) =
   (* each mutation must be caught by the structural linter; pick the
      position in the comment-stripped text so the dropped character is
      real code, not comment prose the linter rightly ignores *)
   let stripped = Kir.Lint.strip src in
-  let drop_last c =
-    match String.rindex_opt stripped c with
-    | None -> None
-    | Some i ->
-      Some
-        (String.sub src 0 i
-        ^ " "
-        ^ String.sub src (i + 1) (String.length src - i - 1))
+  let drop which find c =
+    Option.map
+      (fun i ->
+        ( Printf.sprintf "dropped %s '%c'" which c,
+          String.sub src 0 i ^ " "
+          ^ String.sub src (i + 1) (String.length src - i - 1) ))
+      (find stripped c)
   in
-  List.filter_map
-    (fun (what, s) -> Option.map (fun s -> (what, s)) s)
-    [ ("dropped brace", drop_last '}'); ("dropped paren", drop_last ')') ]
+  let brackets =
+    List.concat_map
+      (fun c -> [ drop "first" String.index_opt c; drop "last" String.rindex_opt c ])
+      [ '{'; '}'; '('; ')'; '['; ']' ]
+  in
+  (* a line put in front of the whole kernel comes before every
+     declaration *)
+  let prepend what line = Some (what, line ^ "\n" ^ src) in
+  let fn = (List.hd p.Kir.Ir.work_fns).Kir.Ir.w_name in
+  let region = Printf.sprintf "region_%d" (fst (List.hd p.Kir.Ir.regions)) in
+  let wgsl = target = Kir.Ir.Wgsl in
+  List.filter_map Fun.id
+    (brackets
+    @ [
+        prepend "duplicated function"
+          (if wgsl then "fn " ^ fn ^ "() {}" else "void " ^ fn ^ "(void);");
+        prepend "duplicated region"
+          (if wgsl then "fn " ^ region ^ "(it: i32) -> i32 { return 0; }"
+           else "int " ^ region ^ "(int it);");
+        prepend "use before declaration" ("x = " ^ fn ^ ";");
+      ])
+
+(* Barrier placements and the verdict each must get on every target: a
+   message prefix after the barrier name, or [Ok] for a uniform guard.
+   [B] stands for the kernel's first barrier statement.  The last five
+   rows need the header rule (a header runs to the first [{] or [;]
+   outside parentheses) and the [else] / [else if] guard inheritance. *)
+let inside = "inside tid-dependent control flow"
+let under = "under tid-dependent guard"
+
+let placements =
+  [
+    ("if (tid < 32) { B }", Error inside);
+    ("if (tid < 32) B", Error under);
+    ("while (tid < 32) { B }", Error inside);
+    ("if (tid < 32) { } else { B }", Error inside);
+    ("if (x) { B }", Ok ());
+    ("if (x) { } else { B }", Ok ());
+    ("for (i = 0; i < 4; i++) { B }", Ok ());
+    ("if (tid < 32) { } B", Ok ());
+    ("{ { B } }", Ok ());
+    ("for (i = tid; i < 4; i++) { B }", Error inside);
+    ("for (i = 0; i < tid; i++) { B }", Error inside);
+    ("if (tid < 32) { } else if (x) { B }", Error inside);
+    ("if (tid < 32) { } else B", Error under);
+    ("if (tid < 32) { }\telse\t{ B }", Error inside);
+  ]
 
 let lint_tests =
   [
@@ -174,31 +217,52 @@ let lint_tests =
                   Alcotest.failf "%s: linter accepted %s"
                     (Kir.Ir.target_name target)
                     what)
-              (corrupt_cases src))
+              (corrupt_cases target p src))
           Kir.Ir.all_targets);
     t "linter rejects a barrier under a tid guard" (fun () ->
         let p = Kir.Lower.lower (compile (flatten_src pipeline_src)) in
-        let src = Kir.Backend.emit Kir.Ir.Cuda p in
-        (* push the first barrier inside tid-dependent control flow *)
-        let pat = "__syncthreads();" in
-        let i =
-          let n = String.length src and m = String.length pat in
-          let rec go i =
-            if i + m > n then Alcotest.fail "no barrier in CUDA kernel"
-            else if String.sub src i m = pat then i
-            else go (i + 1)
-          in
-          go 0
-        in
-        let bad =
-          String.sub src 0 i
-          ^ "if (tid < 32) { __syncthreads(); }"
-          ^ String.sub src (i + String.length pat)
-              (String.length src - i - String.length pat)
-        in
-        match Kir.Lint.check Kir.Ir.Cuda p bad with
-        | Error _ -> ()
-        | Ok () -> Alcotest.fail "linter accepted a tid-guarded barrier");
+        List.iter
+          (fun target ->
+            let barrier = (Kir.Lint.dialect target).Kir.Lint.barrier in
+            let lines = String.split_on_char '\n' (Kir.Backend.emit target p) in
+            let stmt =
+              match
+                List.find_opt
+                  (fun l -> String.starts_with ~prefix:barrier (String.trim l))
+                  lines
+              with
+              | Some l -> String.trim l
+              | None -> Alcotest.failf "no %s in kernel" barrier
+            in
+            List.iter
+              (fun (placement, want) ->
+                let placed =
+                  String.concat stmt (String.split_on_char 'B' placement)
+                in
+                let replaced = ref false in
+                let bad =
+                  String.concat "\n"
+                    (List.map
+                       (fun l ->
+                         if (not !replaced) && String.trim l = stmt then begin
+                           replaced := true;
+                           placed
+                         end
+                         else l)
+                       lines)
+                in
+                let where =
+                  Printf.sprintf "%s: %S" (Kir.Ir.target_name target) placement
+                in
+                match (want, Kir.Lint.check target p bad) with
+                | Ok (), Ok () -> ()
+                | Error prefix, Error e
+                  when String.starts_with ~prefix:(barrier ^ " " ^ prefix) e ->
+                  ()
+                | _, Ok () -> Alcotest.failf "%s: linter accepted it" where
+                | _, Error e -> Alcotest.failf "%s: %s" where e)
+              placements)
+          Kir.Ir.all_targets);
   ]
 
 (* ---- schedule-local names (two compiles, one process) ---------------- *)
