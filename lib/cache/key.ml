@@ -60,18 +60,51 @@ let canonical_graph (g : G.t) =
    [canonical_graph] form.  Renaming in place keeps the digest a single
    read-only pass: no canonical AST is ever constructed. *)
 
+(* Decimal writers with exactly the bytes of [string_of_int] and
+   [Int64.to_string], written straight into the buffer: the digest of a
+   table-heavy graph writes thousands of numbers, and a string per
+   number would be most of the cost of a cache hit.  Digits are produced
+   from the non-positive value so [min_int] needs no special case
+   ([n mod 10] is in [-9, 0] for [n <= 0]). *)
+let rec add_nonpos_digits b n =
+  if n <= -10 then add_nonpos_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_nonpos_digits b n
+  end
+  else add_nonpos_digits b (-n)
+
+(* An [int64] outside the 63-bit [int] range is [10 q + r] with [q] in
+   range, nonzero and of [x]'s sign. *)
+let add_int64 b x =
+  if Int64.equal (Int64.of_int (Int64.to_int x)) x then add_int b (Int64.to_int x)
+  else begin
+    add_int b (Int64.to_int (Int64.div x 10L));
+    Buffer.add_char b
+      (Char.unsafe_chr (48 + abs (Int64.to_int (Int64.rem x 10L))))
+  end
+
 (* Floats serialize as their IEEE-754 bit pattern: injective (distinct
    floats, including -0.0 vs 0.0, get distinct bytes), deterministic,
    and orders of magnitude cheaper than a decimal shortest-round-trip
    search — table-heavy graphs have thousands of constants on the
    digest hot path. *)
+let add_float_bits b f = add_int64 b (Int64.bits_of_float f)
+
+let add_field b tag n =
+  Buffer.add_string b tag;
+  add_int b n
+
 let ser_value b = function
   | T.VInt n ->
     Buffer.add_char b 'i';
-    Buffer.add_string b (string_of_int n)
+    add_int b n
   | T.VFloat f ->
     Buffer.add_char b 'f';
-    Buffer.add_string b (Int64.to_string (Int64.bits_of_float f))
+    add_float_bits b f
 
 let ser_ty b = function
   | T.TInt -> Buffer.add_string b "int"
@@ -145,7 +178,7 @@ let rec ser_stmt b ren (s : K.stmt) =
     Buffer.add_string b "(arr ";
     Buffer.add_string b (ren a);
     Buffer.add_char b ' ';
-    Buffer.add_string b (string_of_int n);
+    add_int b n;
     Buffer.add_char b ')'
   | K.ArrayAssign (a, i, e) ->
     Buffer.add_string b "(aset ";
@@ -204,9 +237,10 @@ let ser_named_arrays b ren tag xs =
    written, which is exactly the skeleton shared by two graphs that
    differ in a single filter's implementation. *)
 let ser_filter b ~full (f : K.filter) =
-  Buffer.add_string b
-    (Printf.sprintf "filter pop=%d push=%d peek=%d in=" f.K.pop_rate
-       f.K.push_rate f.K.peek_rate);
+  add_field b "filter pop=" f.K.pop_rate;
+  add_field b " push=" f.K.push_rate;
+  add_field b " peek=" f.K.peek_rate;
+  Buffer.add_string b " in=";
   ser_ty b f.K.in_ty;
   Buffer.add_string b " out=";
   ser_ty b f.K.out_ty;
@@ -230,26 +264,35 @@ let ser_filter b ~full (f : K.filter) =
     Buffer.add_char b '\n'
   end
 
+let add_weights b ws =
+  Buffer.add_char b '[';
+  List.iteri (fun i w -> add_field b (if i > 0 then " " else "") w) ws;
+  Buffer.add_string b "]\n"
+
 let ser_kind b ~full = function
   | G.NFilter f -> ser_filter b ~full f
   | G.NSplitter (Streamit.Ast.Duplicate, arity) ->
-    Buffer.add_string b (Printf.sprintf "split duplicate %d\n" arity)
+    add_field b "split duplicate " arity;
+    Buffer.add_char b '\n'
   | G.NSplitter (Streamit.Ast.Round_robin ws, arity) ->
-    Buffer.add_string b
-      (Printf.sprintf "split roundrobin %d [%s]\n" arity
-         (String.concat " " (List.map string_of_int ws)))
+    add_field b "split roundrobin " arity;
+    Buffer.add_char b ' ';
+    add_weights b ws
   | G.NJoiner ws ->
-    Buffer.add_string b
-      (Printf.sprintf "join [%s]\n"
-         (String.concat " " (List.map string_of_int ws)))
+    Buffer.add_string b "join ";
+    add_weights b ws
 
-let serialize ?(full = true) (g : G.t) =
-  let b = Buffer.create 4096 in
+let add_line b tag v =
+  add_field b tag v;
+  Buffer.add_char b '\n'
+
+let serialize_into b ~full (g : G.t) =
   Buffer.add_string b "canonical-graph v1\n";
-  Buffer.add_string b (Printf.sprintf "nodes %d\n" (Array.length g.G.nodes));
+  add_line b "nodes " (Array.length g.G.nodes);
   Array.iter
     (fun (n : G.node) ->
-      Buffer.add_string b (Printf.sprintf "node %d " n.G.id);
+      add_field b "node " n.G.id;
+      Buffer.add_char b ' ';
       ser_kind b ~full n.G.kind)
     g.G.nodes;
   let edges =
@@ -262,9 +305,12 @@ let serialize ?(full = true) (g : G.t) =
   in
   List.iter
     (fun (e : G.edge) ->
-      Buffer.add_string b
-        (Printf.sprintf "edge %d.%d->%d.%d init=%d [" e.G.src e.G.src_port
-           e.G.dst e.G.dst_port e.G.init_tokens);
+      add_field b "edge " e.G.src;
+      add_field b "." e.G.src_port;
+      add_field b "->" e.G.dst;
+      add_field b "." e.G.dst_port;
+      add_field b " init=" e.G.init_tokens;
+      Buffer.add_string b " [";
       List.iter
         (fun v ->
           ser_value b v;
@@ -272,12 +318,12 @@ let serialize ?(full = true) (g : G.t) =
         e.G.init_values;
       Buffer.add_string b "]\n")
     edges;
-  (match g.G.entry with
-  | Some v -> Buffer.add_string b (Printf.sprintf "entry %d\n" v)
-  | None -> ());
-  (match g.G.exit_ with
-  | Some v -> Buffer.add_string b (Printf.sprintf "exit %d\n" v)
-  | None -> ());
+  Option.iter (add_line b "entry ") g.G.entry;
+  Option.iter (add_line b "exit ") g.G.exit_
+
+let serialize ?(full = true) g =
+  let b = Buffer.create 4096 in
+  serialize_into b ~full g;
   Buffer.contents b
 
 (* --- compile options --- *)
@@ -320,16 +366,22 @@ let options_string (o : options) =
     (opt string_of_int o.lns_rounds)
     (Kir.Ir.target_name o.target)
 
-let hash s = Digest.to_hex (Digest.string s)
+(* One buffer per call, never shared: [Service.get_many] digests from
+   several domains at once. *)
+let hash_of ~full ~tag g o =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b compiler_version;
+  Buffer.add_char b '\n';
+  Buffer.add_string b (options_string o);
+  Buffer.add_char b '\n';
+  Buffer.add_string b tag;
+  serialize_into b ~full g;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
-let digest g o =
-  hash (compiler_version ^ "\n" ^ options_string o ^ "\n" ^ serialize g)
+let digest g o = hash_of ~full:true ~tag:"" g o
 
 (* Skeleton digest: everything except filter bodies.  Two graphs share
    a skeleton exactly when they differ only in filter implementations
    (same topology, rates and types) — the precondition for the serve
    daemon's incremental warm start. *)
-let skeleton_digest g o =
-  hash
-    (compiler_version ^ "\n" ^ options_string o ^ "\nskeleton\n"
-    ^ serialize ~full:false g)
+let skeleton_digest g o = hash_of ~full:false ~tag:"skeleton\n" g o

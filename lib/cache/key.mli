@@ -29,6 +29,13 @@ val serialize : ?full:bool -> Streamit.Graph.t -> string
     identical for two graphs that differ only in filter
     implementations. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Appends exactly [string_of_int n], without building the string. *)
+
+val add_float_bits : Buffer.t -> float -> unit
+(** Appends exactly [Int64.to_string (Int64.bits_of_float f)], the
+    serializer's rendering of a float, without building the string. *)
+
 type options = {
   arch : Gpusim.Arch.t;
   num_sms : int option;  (** [None] = all of [arch]'s SMs *)

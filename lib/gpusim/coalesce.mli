@@ -40,7 +40,10 @@ val traffic_per_firing :
   Arch.t -> rate:int -> threads:int -> shuffled:bool -> int * int
 (** [(transactions, bus_bytes)] for all [threads] threads each accessing
     [rate] tokens — the bus bytes include transaction padding, which is
-    what makes uncoalesced access so expensive. *)
+    what makes uncoalesced access so expensive.  Computed in closed form
+    (no warp is simulated); asserts the half-warp divides the 128-thread
+    cluster and the segment divides the half-warp.  Each call adds
+    [warps * rate] to one [gpusim.warp_accesses.*] counter. *)
 
 val shared_bank_conflict_degree :
   Arch.t -> tid_to_index:(int -> int) -> int
@@ -65,4 +68,7 @@ val cross_traffic :
     large scatters pay per element.  With [~cached:false]
     (splitter/joiner gathers through plain global memory) every
     simultaneous half-warp access pays its distinct segments with no
-    reuse — the raw compute-1.x transaction rule. *)
+    reuse — the raw compute-1.x transaction rule.  Computed in closed
+    form from the injective map of a token to its (producer position,
+    segment row) pair; asserts the minimum transaction divides the
+    128-thread cluster. *)

@@ -22,39 +22,52 @@ let time_swp (c : Compile.compiled) =
   let num_sms = sched.Swp_schedule.num_sms in
   let sm_cycles = Array.make num_sms 0 in
   let bus_bytes = ref 0 in
-  List.iter
-    (fun (e : Swp_schedule.entry) ->
-      let v = e.inst.Instances.node in
+  (* A pass depends only on the node, its thread count, the register
+     cap, its layout and its in-edge rates, so every instance of a node
+     shares one; price each node once per call. *)
+  let passes = Array.make (Streamit.Graph.num_nodes c.graph) None in
+  let pass_of v =
+    match passes.(v) with
+    | Some pass -> pass
+    | None ->
       let node = Streamit.Graph.node c.graph v in
       let layout = Compile.layout_of_node c node in
       (* actual execution pays for rate-mismatched edges the profile is
          blind to (the layout coalesces the producer side; mismatched
          consumers read strided) *)
       let in_rates = Timing.in_edge_rates c.graph v in
-      match
-        Timing.pass_of_node ~in_rates arch node
-          ~threads:cfg.Select.threads.(v) ~regs_cap:cfg.Select.regs ~layout
-      with
-      | None ->
-        (* the configuration was selected as feasible; cannot happen *)
-        assert false
-      | Some pass ->
-        (* An instance cannot retire before its own bus transfers are
-           served, so its SM's busy time includes them; because the
-           profile underestimates scatter-heavy splitter/joiner
-           instances, LPT packs several onto one SM and that SM's busy
-           time then exceeds the scheduled II — the imbalance the paper
-           reports for DCT and MatrixMult. *)
-        let own_bus =
-          cdiv pass.Timing.bus_bytes arch.Arch.dram_bytes_per_cycle
-        in
-        let busy =
-          max (max pass.Timing.compute_cycles pass.Timing.latency_cycles)
-            own_bus
-          + 20
-        in
-        sm_cycles.(e.sm) <- sm_cycles.(e.sm) + busy;
-        bus_bytes := !bus_bytes + pass.Timing.bus_bytes)
+      let pass =
+        match
+          Timing.pass_of_node ~in_rates arch node
+            ~threads:cfg.Select.threads.(v) ~regs_cap:cfg.Select.regs ~layout
+        with
+        | Some pass -> pass
+        | None ->
+          (* the configuration was selected as feasible; cannot happen *)
+          assert false
+      in
+      passes.(v) <- Some pass;
+      pass
+  in
+  List.iter
+    (fun (e : Swp_schedule.entry) ->
+      let pass = pass_of e.inst.Instances.node in
+      (* An instance cannot retire before its own bus transfers are
+         served, so its SM's busy time includes them; because the
+         profile underestimates scatter-heavy splitter/joiner
+         instances, LPT packs several onto one SM and that SM's busy
+         time then exceeds the scheduled II — the imbalance the paper
+         reports for DCT and MatrixMult. *)
+      let own_bus =
+        cdiv pass.Timing.bus_bytes arch.Arch.dram_bytes_per_cycle
+      in
+      let busy =
+        max (max pass.Timing.compute_cycles pass.Timing.latency_cycles)
+          own_bus
+        + 20
+      in
+      sm_cycles.(e.sm) <- sm_cycles.(e.sm) + busy;
+      bus_bytes := !bus_bytes + pass.Timing.bus_bytes)
     sched.Swp_schedule.entries;
   let bus_cycles = cdiv !bus_bytes arch.Arch.dram_bytes_per_cycle in
   let busiest = Array.fold_left max 0 sm_cycles in

@@ -206,17 +206,17 @@ let matches_interpreter c ~input ~iters =
       Error
         (Printf.sprintf "length mismatch: device %d vs interpreter %d"
            (List.length dev) (List.length reference))
-    else begin
-      let bad = ref None in
-      List.iteri
-        (fun i (d : value) ->
-          let r = List.nth reference i in
-          if !bad = None && not (value_close ~eps:1e-4 d r) then
-            bad :=
-              Some
-                (Printf.sprintf "token %d: device %s vs interpreter %s" i
-                   (string_of_value d) (string_of_value r)))
-        dev;
-      match !bad with None -> Ok () | Some m -> Error m
-    end
+    else
+      (* walk both lists together: the first mismatch ends the scan *)
+      let rec first_mismatch i dev reference =
+        match (dev, reference) with
+        | d :: dev, r :: reference ->
+          if value_close ~eps:1e-4 d r then first_mismatch (i + 1) dev reference
+          else
+            Error
+              (Printf.sprintf "token %d: device %s vs interpreter %s" i
+                 (string_of_value d) (string_of_value r))
+        | _ -> Ok ()
+      in
+      first_mismatch 0 dev reference
   with Uninitialized_read m -> Error ("uninitialized read: " ^ m)

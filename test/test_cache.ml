@@ -60,6 +60,39 @@ let check_entry msg a b =
 
 (* ---- Key ------------------------------------------------------------- *)
 
+(* The serializer writes numbers without building strings; its bytes
+   must be exactly the ones [string_of_int] / [Int64.to_string] gave,
+   or every stored key would change. *)
+let with_buffer f x =
+  let b = Buffer.create 32 in
+  f b x;
+  Buffer.contents b
+
+let number_writer_props =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"int writer matches string_of_int" ~count:2000
+        QCheck.(
+          oneof
+            [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1; 10; -10 ] ])
+        (fun n -> with_buffer Cache.Key.add_int n = string_of_int n);
+      QCheck.Test.make ~name:"float writer matches Int64.to_string of the bits"
+        ~count:2000
+        QCheck.(
+          oneof
+            [
+              float;
+              map Int64.float_of_bits int64;
+              oneofl
+                [ 0.0; -0.0; nan; Float.neg nan; infinity; neg_infinity;
+                  min_float; max_float; Int64.float_of_bits Int64.min_int;
+                  Int64.float_of_bits Int64.max_int ];
+            ])
+        (fun f ->
+          with_buffer Cache.Key.add_float_bits f
+          = Int64.to_string (Int64.bits_of_float f));
+    ]
+
 let key_tests =
   [
     t "digest is naming-irrelevant" (fun () ->
@@ -414,4 +447,5 @@ let protocol_tests =
           ]);
   ]
 
-let suite = key_tests @ store_tests @ service_tests @ protocol_tests
+let suite =
+  key_tests @ store_tests @ service_tests @ protocol_tests @ number_writer_props

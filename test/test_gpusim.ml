@@ -108,6 +108,137 @@ let coalesce_tests =
         Alcotest.(check bool) "worse" true (scat >= 4 * coal));
   ]
 
+(* Oracles for the closed forms: the per-warp simulators they replace.
+   [sim_traffic_per_firing] runs [analyze_warp] over every warp access;
+   [sim_cross_traffic] collects each access's distinct minimum-size
+   segments in a table. *)
+let sim_traffic_per_firing (a : Arch.t) ~rate ~threads ~shuffled =
+  let warps = Arch.threads_to_warps a threads in
+  let trans = ref 0 and bytes = ref 0 in
+  for w = 0 to warps - 1 do
+    for n = 0 to rate - 1 do
+      let tid_to_index tid_in_warp =
+        let tid = (w * a.warp_size) + tid_in_warp in
+        if shuffled then Coalesce.shuffled_index ~rate ~cluster:128 ~n tid
+        else Coalesce.natural_index ~pop_or_push_rate:rate ~n tid
+      in
+      let s = Coalesce.analyze_warp a ~elem_bytes:Types.elem_size_bytes ~tid_to_index in
+      trans := !trans + s.Coalesce.transactions;
+      bytes := !bytes + s.Coalesce.bytes_moved
+    done
+  done;
+  (!trans, !bytes)
+
+(* Distinct segments per warp, for warps [0, warps): the pass total
+   for [threads] threads is the sum over its first
+   [threads_to_warps threads] warps, so one run serves every thread
+   count. *)
+let sim_cross_traffic ~cached (a : Arch.t) ~prod_rate ~cons_rate ~warps =
+  let p = max 1 prod_rate and c = max 1 cons_rate in
+  let layout_addr s = Coalesce.shuffled_index ~rate:p ~cluster:128 ~n:(s mod p) (s / p) in
+  let seg_elems = max 1 (a.min_transaction_bytes / Types.elem_size_bytes) in
+  let half = a.warp_size / 2 in
+  let segs = Hashtbl.create 64 in
+  let touch s = Hashtbl.replace segs (layout_addr s / seg_elems) () in
+  Array.init warps (fun w ->
+      if cached then begin
+        (* one access: every token of the warp's pass *)
+        Hashtbl.clear segs;
+        for k = 0 to a.warp_size - 1 do
+          for n = 0 to c - 1 do
+            touch ((((w * a.warp_size) + k) * c) + n)
+          done
+        done;
+        Hashtbl.length segs
+      end
+      else begin
+        (* one access per half-warp and token position *)
+        let distinct = ref 0 in
+        for n = 0 to c - 1 do
+          for hw = 0 to 1 do
+            Hashtbl.clear segs;
+            for k = 0 to half - 1 do
+              touch ((((w * a.warp_size) + (hw * half) + k) * c) + n)
+            done;
+            distinct := !distinct + Hashtbl.length segs
+          done
+        done;
+        !distinct
+      end)
+
+let oracle_threads = [ 100; 128; 256; 384; 512 ]
+
+(* Every (consumer rate, producer rate, cached) triple the executor
+   prices on [g], and every per-firing access rate of its nodes. *)
+let priced_rates g =
+  let triples =
+    Array.to_list g.Graph.nodes
+    |> List.concat_map (fun (nd : Graph.node) ->
+           let cached =
+             match nd.Graph.kind with Graph.NFilter _ -> true | _ -> false
+           in
+           List.map (fun (c, p) -> (c, p, cached)) (Timing.in_edge_rates g nd.Graph.id))
+  in
+  let rates =
+    List.concat_map (fun e -> [ Graph.production g e; Graph.consumption g e ]) g.Graph.edges
+  in
+  (triples, rates)
+
+let check_closed_forms ~triples ~rates =
+  List.iter
+    (fun threads ->
+      List.iter
+        (fun rate ->
+          List.iter
+            (fun shuffled ->
+              let got = Coalesce.traffic_per_firing arch ~rate ~threads ~shuffled in
+              if got <> sim_traffic_per_firing arch ~rate ~threads ~shuffled then
+                Alcotest.failf "traffic_per_firing rate=%d threads=%d shuffled=%b" rate
+                  threads shuffled)
+            [ true; false ])
+        rates)
+    oracle_threads;
+  let max_warps = Arch.threads_to_warps arch (List.fold_left max 0 oracle_threads) in
+  List.iter
+    (fun (cons_rate, prod_rate, cached) ->
+      let per_warp = sim_cross_traffic ~cached arch ~prod_rate ~cons_rate ~warps:max_warps in
+      List.iter
+        (fun threads ->
+          let segs = ref 0 in
+          for w = 0 to Arch.threads_to_warps arch threads - 1 do
+            segs := !segs + per_warp.(w)
+          done;
+          let want = (!segs, !segs * arch.Arch.min_transaction_bytes) in
+          if Coalesce.cross_traffic ~cached arch ~prod_rate ~cons_rate ~threads <> want then
+            Alcotest.failf "cross_traffic p=%d c=%d threads=%d cached=%b" prod_rate
+              cons_rate threads cached)
+        oracle_threads)
+    triples
+
+let dedup l = List.sort_uniq compare l
+
+let closed_form_tests =
+  [
+    t "closed forms match the simulators on registry and generated rates" (fun () ->
+        let graphs =
+          List.map
+            (fun (e : Benchmarks.Registry.entry) -> Flatten.flatten (e.stream ()))
+            Benchmarks.Registry.all
+          @ List.init 100 (fun seed -> Flatten.flatten (Check.Gen.stream ~seed ()))
+        in
+        let triples, rates = List.split (List.map priced_rates graphs) in
+        check_closed_forms ~triples:(dedup (List.concat triples))
+          ~rates:(dedup (List.concat rates)));
+    t "closed forms match the simulators on rates 1..32" (fun () ->
+        let r = List.init 32 succ in
+        check_closed_forms ~rates:r
+          ~triples:
+            (List.concat_map
+               (fun c ->
+                 List.concat_map (fun p -> [ (c, p, true); (c, p, false) ]) r)
+               r));
+  ]
+
 let regalloc_tests =
   [
     t "no spill under generous cap" (fun () ->
@@ -238,4 +369,6 @@ let cpu_tests =
           (1.0 /. 2.83) (Cpu_model.seconds m 1e9));
   ]
 
-let suite = arch_tests @ coalesce_tests @ regalloc_tests @ timing_tests @ cpu_tests
+let suite =
+  arch_tests @ coalesce_tests @ regalloc_tests @ timing_tests @ cpu_tests
+  @ closed_form_tests

@@ -463,6 +463,49 @@ let compile_tests =
               Alcotest.failf "%s: SWPNC %.1f much faster than SWP %.1f" name
                 swpnc swp)
           [ "DCT"; "FFT"; "MatrixMult" ]);
+    t "gpusim traffic counters count priced passes, not instances" (fun () ->
+        (* [gpusim.warp_accesses.*] and [gpusim.bus_bytes] move once per
+           node pass the executor prices; every scheduled instance of a
+           node shares that pass. *)
+        let counters =
+          List.map Obs.Metrics.counter
+            [
+              "gpusim.warp_accesses.coalesced";
+              "gpusim.warp_accesses.uncoalesced";
+              "gpusim.bus_bytes";
+            ]
+        in
+        let moved f =
+          let before = List.map Obs.Metrics.value counters in
+          f ();
+          List.map2 (fun c b -> Obs.Metrics.value c - b) counters before
+        in
+        let g = Flatten.flatten (Benchmarks.Bitonic.stream ()) in
+        let c = Result.get_ok (Compile.compile ~scheme:Compile.Swp_non_coalesced g) in
+        let entries = c.Compile.schedule.Swp_schedule.entries in
+        let nodes =
+          List.sort_uniq compare
+            (List.map (fun (e : Swp_schedule.entry) -> e.Swp_schedule.inst.Instances.node) entries)
+        in
+        Alcotest.(check bool) "some node has several instances" true
+          (List.length entries > List.length nodes);
+        let by_executor = moved (fun () -> ignore (Executor.time_swp c)) in
+        let once_per_node =
+          moved (fun () ->
+              List.iter
+                (fun v ->
+                  let node = Graph.node c.Compile.graph v in
+                  ignore
+                    (Gpusim.Timing.pass_of_node
+                       ~in_rates:(Gpusim.Timing.in_edge_rates c.Compile.graph v)
+                       c.Compile.arch node
+                       ~threads:c.Compile.config.Select.threads.(v)
+                       ~regs_cap:c.Compile.config.Select.regs
+                       ~layout:(Compile.layout_of_node c node)))
+                nodes)
+        in
+        Alcotest.(check bool) "counters moved" true (List.exists (fun d -> d > 0) by_executor);
+        Alcotest.(check (list int)) "one pass per node" once_per_node by_executor);
   ]
 
 let suite =
